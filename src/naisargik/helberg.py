@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .words import DEFAULT_MAX_ENUM, Word, check_symbols, iter_words
+from .words import (
+    DEFAULT_MAX_ENUM,
+    Word,
+    check_symbols,
+    ensure_enumerable,
+    iter_words,
+)
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,12 @@ def helberg_classes(
 
 @dataclass(frozen=True)
 class CodebookCensus:
-    """Codeword count per residue for one (n, q, s); counts sum to q^n."""
+    """Codeword count per residue for one (n, q, s); counts sum to q^n.
+
+    ``counts`` holds the populated residues only, in increasing order.  The
+    counts come from the moment distribution that ``helberg_census`` computes
+    position by position; no word is enumerated.
+    """
 
     n: int
     q: int
@@ -146,9 +157,33 @@ class CodebookCensus:
 def helberg_census(
     n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM
 ) -> CodebookCensus:
-    m, classes = helberg_classes(n, q, s, limit)
+    """Count the words of Z_q^n per moment residue, without enumerating them.
+
+    The number of words with moment t is the coefficient of z^t in the
+    product over positions of 1 + z^v + z^(2v) + ... + z^((q-1)v), one factor
+    per weight v = v_1..v_n.  The product is built one factor at a time as q
+    shifted sums of the previous coefficients, then folded modulo m once.
+    Since v_i <= q^(i-1), every moment is below q^n, so the coefficient list
+    never outgrows the word space that ``limit`` caps.
+    """
+    w = weight_sequence(n, q, s)
+    ensure_enumerable(q**n, limit)
+    m = w.modulus
+    poly = [1]
+    for v in w.values[:-1]:
+        size = len(poly)
+        grown = poly + [0] * ((q - 1) * v)
+        for shift in range(v, q * v, v):
+            grown[shift : shift + size] = [
+                c + d for c, d in zip(grown[shift : shift + size], poly)
+            ]
+        poly = grown
+    counts = [0] * m
+    for start in range(0, len(poly), m):
+        chunk = poly[start : start + m]
+        counts[: len(chunk)] = [c + d for c, d in zip(counts, chunk)]
     return CodebookCensus(
-        n=n, q=q, s=s, m=m, counts={a: len(ws) for a, ws in classes.items()}
+        n=n, q=q, s=s, m=m, counts={a: c for a, c in enumerate(counts) if c}
     )
 
 

@@ -95,20 +95,14 @@ def image_code(
     source, smap: SymbolMap, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
     """Forward map of a codebook (given as params or words); size is preserved."""
-    code = _as_codebook(source, limit)
-    out = frozenset(smap.apply(w) for w in code)
-    assert len(out) == len(code)
-    return out
+    return frozenset(smap.apply(w) for w in _as_codebook(source, limit))
 
 
 def inverse_image_code(
     source, smap: SymbolMap, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
     """Inverse map of an even-length binary codebook (params or words)."""
-    code = _as_codebook(source, limit)
-    out = frozenset(smap.invert(w) for w in code)
-    assert len(out) == len(code)
-    return out
+    return frozenset(smap.invert(w) for w in _as_codebook(source, limit))
 
 
 def image_residue(x: Word, smap: SymbolMap, binary_weights: WeightSequence) -> int:
@@ -126,10 +120,18 @@ def _correction_cell(args: tuple) -> CampaignCell:
     )
 
 
+def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
+    """Worker processes worth starting: no more than the cells or the CPUs."""
+    return min(requested, cells, cpus or 1)
+
+
 def _run_cells(
     inputs: Sequence[tuple], fn: Callable[[tuple], CampaignCell], workers: int = 1
 ) -> list[CampaignCell]:
-    if workers <= 1 or len(inputs) < 2:
+    import os
+
+    workers = effective_workers(workers, len(inputs), os.cpu_count())
+    if workers <= 1:
         return [fn(item) for item in inputs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, inputs, chunksize=max(1, len(inputs) // (4 * workers))))

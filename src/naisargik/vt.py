@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 from .maps import SymbolMap
 from .spheres import sphere_members
-from .words import DEFAULT_MAX_ENUM, Word, check_symbols, iter_words
+from .words import (
+    DEFAULT_MAX_ENUM,
+    Word,
+    check_symbols,
+    ensure_enumerable,
+    iter_words,
+)
 
 
 @dataclass(frozen=True)
@@ -120,10 +126,32 @@ def qary_vt_code(
 def qary_vt_census(
     n: int, q: int, limit: int = DEFAULT_MAX_ENUM
 ) -> dict[tuple[int, int], int]:
-    """Codeword count for every one of the q*n residue pairs; sums to q^n."""
-    classes = qary_vt_classes(n, q, limit)
+    """Codeword count for every one of the q*n residue pairs; sums to q^n.
+
+    A dynamic program over word prefixes counts the words without
+    enumerating them.  Its state is (last symbol, signature checksum mod n,
+    symbol sum mod q): appending y after a prefix ending in c at position i
+    sets signature bit i to [c <= y], which adds i to the checksum when set.
+    Pairs no word reaches map to 0.
+    """
+    if n < 1 or q < 2:
+        raise ValueError(f"need n >= 1 and q >= 2; got ({n}, {q})")
+    ensure_enumerable(q**n, limit)
+    # counts[c][a][b]: prefixes ending in symbol c with residues (a, b).
+    counts = [[[0] * q for _ in range(n)] for _ in range(q)]
+    for c in range(q):
+        counts[c][0][c] = 1
+    for i in range(1, n):
+        nxt = [[[0] * q for _ in range(n)] for _ in range(q)]
+        for c in range(q):
+            for a in range(n):
+                for b, k in enumerate(counts[c][a]):
+                    if k:
+                        for y in range(q):
+                            nxt[y][(a + i * (c <= y)) % n][(b + y) % q] += k
+        counts = nxt
     return {
-        (a, b): len(classes.get((a, b), ()))
+        (a, b): sum(counts[c][a][b] for c in range(q))
         for a in range(n)
         for b in range(q)
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -19,6 +20,27 @@ def sphere_by_index_subsets(word, s):
 
 def all_words(n, q):
     return itertools.product(range(q), repeat=n)
+
+
+#: Largest word space the enumeration oracle visits.
+ORACLE_MAX_WORDS = 4**7
+
+
+def enumerated_census(n, q, residue):
+    """Enumeration oracle: words of Z_q^n per residue, populated ones only."""
+    if q**n > ORACLE_MAX_WORDS:
+        raise ValueError(f"{q}^{n} words exceed the oracle's {ORACLE_MAX_WORDS}")
+    return dict(sorted(Counter(residue(w) for w in all_words(n, q)).items()))
+
+
+def oracle_grids(max_q=4):
+    """Random (n, q) with 2 <= q <= max_q and q^n within the oracle's reach."""
+
+    def lengths(q):
+        top = max(n for n in range(1, 20) if q**n <= ORACLE_MAX_WORDS)
+        return st.tuples(st.integers(min_value=1, max_value=top), st.just(q))
+
+    return st.integers(min_value=2, max_value=max_q).flatmap(lengths)
 
 
 @pytest.fixture

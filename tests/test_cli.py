@@ -222,6 +222,25 @@ class TestTables:
         assert [r[0] for r in rows[1:]] == ["2", "3", "4", "5", "6"]
         assert rows[1][3] == "65/72"
 
+    def test_census_guard_trips_exit_3(self, capsys):
+        code, out = run(capsys, "tables", "table5", "--n", "9", "--max-enum", "1000")
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table5", "--n", "0"),
+            ("table5", "--q", "1"),
+            ("table15", "--n", "0"),
+            ("table15", "--q", "1"),
+        ],
+    )
+    def test_census_domain_is_usage_error(self, capsys, argv):
+        code, out = run(capsys, "tables", *argv)
+        assert code == 2
+        assert out == ""
+
     def test_unknown_table_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tables", "table4"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from naisargik import (
     HelbergParams,
+    ResourceLimitError,
     cardinality_lower_bound,
     cardinality_upper_bound,
     check_deletion_correcting,
@@ -21,6 +23,7 @@ from naisargik import (
     torsion_code,
     weight_sequence,
 )
+from conftest import enumerated_census, oracle_grids
 
 
 class TestWeightSequence:
@@ -202,12 +205,42 @@ def test_torsion_code():
 
 
 @settings(max_examples=60, deadline=None)
+@given(oracle_grids(), st.integers(min_value=1, max_value=3))
+def test_census_partitions_the_space(grid, s):
+    n, q = grid
+    w = weight_sequence(n, q, s)
+    census = helberg_census(n, q, s)
+    assert census.m == w.modulus
+    assert census.counts == enumerated_census(n, q, lambda x: moment(x, w) % w.modulus)
+
+
+@settings(max_examples=20, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=8, max_value=10),
     st.sampled_from([2, 3, 4]),
     st.integers(min_value=1, max_value=3),
 )
-def test_census_partitions_the_space(n, q, s):
+def test_census_counts_beyond_enumeration(n, q, s):
     census = helberg_census(n, q, s)
     assert sum(census.counts.values()) == q**n
-    assert all(0 <= a < census.m for a in census.counts)
+    assert list(census.counts) == sorted(census.counts)
+    assert all(0 <= a < census.m and c > 0 for a, c in census.counts.items())
+
+
+def test_census_guard_trips_before_counting():
+    # Counting (9, 4, 1) holds about 44k coefficients; a guard that fires
+    # first allocates next to nothing.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            helberg_census(9, 4, 1, limit=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
+@pytest.mark.parametrize("n,q", [(0, 4), (-1, 4), (3, 1), (3, 0)])
+def test_census_rejects_bad_domain(n, q):
+    with pytest.raises(ValueError):
+        helberg_census(n, q, 1)

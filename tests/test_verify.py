@@ -21,6 +21,7 @@ from naisargik import (
     verify_vt_correction,
     weight_sequence,
 )
+from naisargik.verify import effective_workers
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
     HELBERG_4_4_1_40_IMAGES,
@@ -201,3 +202,18 @@ def test_campaign_result_is_json_serializable():
     assert payload["passed"] is True
     assert payload["summary"]["max_codewords"] == 3
     assert payload["summary"]["max_residues"] == [0, 1, 13, 14]
+
+
+@pytest.mark.parametrize(
+    "requested,cells,cpus,expected",
+    [
+        (1, 9, 8, 1),
+        (4, 9, 2, 2),
+        (4, 3, 8, 3),
+        (10**6, 9, 2, 2),
+        (4, 9, None, 1),
+        (4, 0, 8, 0),
+    ],
+)
+def test_effective_workers_clamp(requested, cells, cpus, expected):
+    assert effective_workers(requested, cells, cpus) == expected

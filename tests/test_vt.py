@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from naisargik import (
     BinaryVtParams,
     QaryVtParams,
+    ResourceLimitError,
     all_bijections,
     binary_vt_code,
     binary_vt_residue,
@@ -23,6 +24,7 @@ from naisargik import (
     sphere_members,
     spheres_intersect,
 )
+from conftest import enumerated_census
 from golden import RESIDUE_DIFF_ROWS, VT_1_2_IMAGES, VT_4_4_CENSUS
 
 
@@ -84,11 +86,25 @@ def test_qary_census_golden():
     assert max(census.values()) >= 4**4 // (4 * 4)
 
 
-@pytest.mark.parametrize("n,q", [(2, 4), (3, 4), (5, 4), (4, 3)])
+@pytest.mark.parametrize(
+    "n,q", [(2, 4), (3, 4), (5, 4), (4, 3), (1, 2), (7, 4), (8, 3), (6, 5), (14, 2)]
+)
 def test_qary_partition(n, q):
-    census = qary_vt_census(n, q)
-    assert sum(census.values()) == q**n
-    assert set(census) <= {(a, b) for a in range(n) for b in range(q)}
+    counted = enumerated_census(n, q, lambda w: qary_vt_residues(w, q))
+    assert qary_vt_census(n, q) == {
+        (a, b): counted.get((a, b), 0) for a in range(n) for b in range(q)
+    }
+
+
+def test_qary_census_guard_trips_before_counting():
+    with pytest.raises(ResourceLimitError):
+        qary_vt_census(9, 4, limit=1000)
+
+
+@pytest.mark.parametrize("n,q", [(0, 4), (-1, 4), (3, 1), (3, 0)])
+def test_qary_census_rejects_bad_domain(n, q):
+    with pytest.raises(ValueError):
+        qary_vt_census(n, q)
 
 
 def test_phi8_signature_bit_matches_direct_signature():
