@@ -10,7 +10,8 @@ import argparse
 import csv
 from pathlib import Path
 
-from naisargik import tables
+from naisargik import DEFAULT_MAX_ENUM
+from naisargik.cli import TABLES
 
 
 def main() -> int:
@@ -20,23 +21,8 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    builders = [
-        tables.table2(),
-        tables.table3(),
-        tables.table5(),
-        tables.table6(),
-        tables.table7(),
-        tables.table8(),
-        tables.table9(),
-        tables.table10(),
-        tables.table11(),
-        tables.table12(),
-        tables.table13(),
-        tables.table14(),
-        tables.table15(),
-        tables.bounds_table((2, 3, 4, 5, 6), 4, 1),
-    ]
-    for table in builders:
+    for build in TABLES.values():
+        table = build({}, None, DEFAULT_MAX_ENUM)
         path = out_dir / f"{table.name}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -66,12 +66,9 @@ def main() -> int:
 
     for n in range(2, scan_max + 1):
         started = time.perf_counter()
-        passed = True
-        pairs = 0
-        for i in range(1, 9):
-            scan = equal_weight_scan(n, naisargik_map(f"phi{i}"))
-            passed &= scan.passed
-            pairs += scan.intersecting_pairs
+        scans = equal_weight_scan(n, [naisargik_map(f"phi{i}") for i in range(1, 9)])
+        passed = all(scan.passed for scan in scans)
+        pairs = sum(scan.intersecting_pairs for scan in scans)
         ok &= log(f"equal-weight n={n}", passed, started, f"pairs={pairs}")
 
     for n in range(3, 8):

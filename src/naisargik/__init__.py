@@ -34,10 +34,7 @@ from .maps import (
 )
 from .spheres import (
     CorrectionReport,
-    Sphere,
     check_deletion_correcting,
-    deletion_sphere,
-    single_deletions,
     sphere_members,
     spheres_intersect,
 )
@@ -46,9 +43,6 @@ from .verify import (
     CampaignResult,
     CardinalityRow,
     cardinality_comparison,
-    image_code,
-    image_residue,
-    inverse_image_code,
     reduction_analysis,
     torsion_analysis,
     verify_helberg_self,
@@ -61,6 +55,7 @@ from .vt import (
     BinaryVtParams,
     EqualWeightScan,
     QaryVtParams,
+    binary_vt_classes,
     binary_vt_code,
     binary_vt_residue,
     equal_weight_scan,

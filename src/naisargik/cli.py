@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import tables as tables_mod
 from .helberg import HelbergParams, helberg_code
@@ -43,12 +44,10 @@ from .vt import (
 from .words import (
     DEFAULT_MAX_ENUM,
     ResourceLimitError,
+    check_digit_alphabet,
     format_word,
     parse_word,
 )
-
-TABLE_IDS = ("table2", "table3") + tuple(f"table{i}" for i in range(5, 16)) + ("bounds",)
-CAMPAIGNS = ("thm1", "thm2", "conj1", "conj2", "reduction", "torsion", "vt1", "helberg-self")
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,8 @@ class RunConfig:
         name = self.params.get("map")
         if name is not None:
             naisargik_map(name)
+        if self.command in ("gen", "verify") and self.params.get("q") is not None:
+            check_digit_alphabet(self.params["q"])
 
 
 def _parse_int_range(text: str) -> tuple[int, ...]:
@@ -140,7 +141,6 @@ def _emit_campaign(result: CampaignResult, fmt: str) -> int:
     if result.passed:
         return 0
     failure = result.first_failure()
-    assert failure is not None
     print(
         json.dumps(
             {
@@ -216,55 +216,19 @@ def _scan_campaign(n: int, names: tuple[str, ...], limit: int) -> CampaignResult
     """Equal-weight scans over several maps, packaged as one campaign."""
     cells = []
     total_pairs = 0
-    for name in names:
-        scan = equal_weight_scan(n, naisargik_map(name), limit)
+    for scan in equal_weight_scan(n, [naisargik_map(name) for name in names], limit):
         total_pairs += scan.intersecting_pairs
         detail: dict = {"intersecting_pairs": scan.intersecting_pairs}
         if scan.counterexample is not None:
             x, y = scan.counterexample
             detail["witness"] = {"x": format_word(x), "y": format_word(y)}
-        cells.append(CampaignCell(label=name, passed=scan.passed, detail=detail))
+        cells.append(CampaignCell(label=scan.map_name, passed=scan.passed, detail=detail))
     return CampaignResult(
         campaign="equal-weight",
         params={"n": n, "maps": ",".join(names)},
-        passed=all(c.passed for c in cells),
         cells=tuple(cells),
         summary={"intersecting_pairs": total_pairs},
     )
-
-
-def _cmd_verify(config: RunConfig) -> int:
-    p = config.params
-    campaign = p["campaign"]
-    limit = config.max_enum
-    if campaign == "thm1":
-        result = verify_image_correction(
-            _need(p, "n"), _need(p, "s"), _opt_map(p), limit, config.workers
-        )
-    elif campaign == "thm2":
-        result = verify_inverse_correction(
-            _need(p, "n"), _need(p, "s"), _opt_map(p), limit, config.workers
-        )
-    elif campaign == "conj1":
-        names = _parse_map_list(p.get("maps") or "phi1..phi8")
-        result = _scan_campaign(_need(p, "n"), names, limit)
-    elif campaign == "conj2":
-        result = verify_residue_bijection(_need(p, "n"), limit)
-    elif campaign == "reduction":
-        result = reduction_analysis(
-            _need(p, "n"), p.get("q") or 4, _need(p, "s"), p.get("check_s"), limit
-        )
-    elif campaign == "torsion":
-        result = torsion_analysis(_need(p, "n"), p.get("q") or 4, _need(p, "s"), limit)
-    elif campaign == "vt1":
-        result = verify_vt_correction(
-            _need(p, "n"), p.get("q") or 2, limit, config.workers
-        )
-    else:
-        result = verify_helberg_self(
-            _need(p, "n"), p.get("q") or 4, _need(p, "s"), limit, config.workers
-        )
-    return _emit_campaign(result, config.fmt)
 
 
 def _need(params: dict, key: str) -> int:
@@ -279,52 +243,76 @@ def _opt_map(params: dict):
     return naisargik_map(name) if name else None
 
 
+#: Campaign builders by name, each called as ``build(params, limit, workers)``.
+#: Every entry looks its function up at call time, so a module attribute
+#: replaced from outside (by a tracer, say) is the one that runs.
+CAMPAIGNS: dict[str, Callable[[dict, int, int], CampaignResult]] = {
+    "thm1": lambda p, limit, workers: verify_image_correction(
+        _need(p, "n"), _need(p, "s"), _opt_map(p), limit, workers
+    ),
+    "thm2": lambda p, limit, workers: verify_inverse_correction(
+        _need(p, "n"), _need(p, "s"), _opt_map(p), limit, workers
+    ),
+    "conj1": lambda p, limit, workers: _scan_campaign(
+        names=_parse_map_list(p.get("maps") or "phi1..phi8"), n=_need(p, "n"), limit=limit
+    ),
+    "conj2": lambda p, limit, workers: verify_residue_bijection(_need(p, "n"), limit),
+    "reduction": lambda p, limit, workers: reduction_analysis(
+        _need(p, "n"), p.get("q") or 4, _need(p, "s"), p.get("check_s"), limit
+    ),
+    "torsion": lambda p, limit, workers: torsion_analysis(
+        _need(p, "n"), p.get("q") or 4, _need(p, "s"), limit
+    ),
+    "vt1": lambda p, limit, workers: verify_vt_correction(
+        _need(p, "n"), p.get("q") or 2, limit, workers
+    ),
+    "helberg-self": lambda p, limit, workers: verify_helberg_self(
+        _need(p, "n"), p.get("q") or 4, _need(p, "s"), limit, workers
+    ),
+}
+
+
+def _cmd_verify(config: RunConfig) -> int:
+    build = CAMPAIGNS[config.params["campaign"]]
+    result = build(config.params, config.max_enum, config.workers)
+    return _emit_campaign(result, config.fmt)
+
+
+#: Table builders by name, each called as ``build(params, n_values, limit)``
+#: where ``n_values`` is the parsed ``--n`` range or None.  Every entry looks
+#: its builder up on the tables module at call time, as ``CAMPAIGNS`` does.
+TABLES: dict[str, Callable[[dict, tuple[int, ...] | None, int], Table]] = {
+    "table2": lambda p, ns, limit: tables_mod.table2(limit=limit),
+    "table3": lambda p, ns, limit: tables_mod.table3(),
+    "table5": lambda p, ns, limit: tables_mod.table5(
+        (ns or (4,))[0], p.get("q") or 4, p.get("s") or 1, limit
+    ),
+    "table6": lambda p, ns, limit: tables_mod.table6(ns or (3, 4, 5, 6, 7), limit),
+    "table7": lambda p, ns, limit: tables_mod.table7(ns or (2, 3, 4, 5, 6), limit),
+    "table8": lambda p, ns, limit: (
+        tables_mod.table8(tuple((n, p["s"]) for n in ns), limit)
+        if ns and p.get("s")
+        else tables_mod.table8(limit=limit)
+    ),
+    "table9": lambda p, ns, limit: tables_mod.table9(
+        (ns or (10,))[0], p.get("s") or 2, p.get("a"), limit
+    ),
+    "table10": lambda p, ns, limit: tables_mod.table10(limit=limit),
+    "table11": lambda p, ns, limit: tables_mod.table11(limit=limit),
+    "table12": lambda p, ns, limit: tables_mod.table12(limit=limit),
+    "table13": lambda p, ns, limit: tables_mod.table13(limit=limit),
+    "table14": lambda p, ns, limit: tables_mod.table14(limit=limit),
+    "table15": lambda p, ns, limit: tables_mod.table15((ns or (4,))[0], p.get("q") or 4, limit),
+    "bounds": lambda p, ns, limit: tables_mod.bounds_table(
+        ns or (2, 3, 4, 5, 6), p.get("q") or 4, p.get("s") or 1
+    ),
+}
+
+
 def _cmd_tables(config: RunConfig) -> int:
     p = config.params
-    which = p["which"]
-    limit = config.max_enum
-    n_range = _parse_int_range(p["n"]) if p.get("n") else None
-    if which == "table2":
-        table = tables_mod.table2(limit=limit)
-    elif which == "table3":
-        table = tables_mod.table3()
-    elif which == "table5":
-        table = tables_mod.table5(
-            (n_range or (4,))[0], p.get("q") or 4, p.get("s") or 1, limit
-        )
-    elif which == "table6":
-        table = tables_mod.table6(n_range or (3, 4, 5, 6, 7), limit)
-    elif which == "table7":
-        table = tables_mod.table7(n_range or (2, 3, 4, 5, 6), limit)
-    elif which == "table8":
-        if n_range and p.get("s"):
-            cells = tuple((n, p["s"]) for n in n_range)
-            table = tables_mod.table8(cells, limit)
-        else:
-            table = tables_mod.table8(limit=limit)
-    elif which == "table9":
-        table = tables_mod.table9(
-            (n_range or (10,))[0], p.get("s") or 2, p.get("a"), limit
-        )
-    elif which == "table10":
-        table = tables_mod.table10(limit=limit)
-    elif which == "table11":
-        table = tables_mod.table11(limit=limit)
-    elif which == "table12":
-        table = tables_mod.table12(limit=limit)
-    elif which == "table13":
-        table = tables_mod.table13(limit=limit)
-    elif which == "table14":
-        table = tables_mod.table14(limit=limit)
-    elif which == "table15":
-        table = tables_mod.table15(
-            (n_range or (4,))[0], p.get("q") or 4, limit
-        )
-    else:
-        table = tables_mod.bounds_table(
-            n_range or (2, 3, 4, 5, 6), p.get("q") or 4, p.get("s") or 1
-        )
-    _emit_table(table, config.fmt)
+    n_values = _parse_int_range(p["n"]) if p.get("n") else None
+    _emit_table(TABLES[p["which"]](p, n_values, config.max_enum), config.fmt)
     return 0
 
 
@@ -384,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
 
     t = sub.add_parser("tables", help="emit a recomputed reference table")
-    t.add_argument("which", choices=TABLE_IDS)
+    t.add_argument("which", choices=TABLES)
     t.add_argument("--n", help="length or range like 2..6")
     t.add_argument("--q", type=int)
     t.add_argument("--s", type=int)

@@ -19,15 +19,6 @@ DEFAULT_SPHERE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
-class Sphere:
-    """The deletion sphere D_s(center): all subsequences after s deletions."""
-
-    center: Word
-    deletions: int
-    members: frozenset[Word]
-
-
-@dataclass(frozen=True)
 class CorrectionReport:
     """Outcome of an s-deletion-correction check over one codebook.
 
@@ -43,13 +34,6 @@ class CorrectionReport:
     def __post_init__(self) -> None:
         if self.ok == (self.witness is not None):
             raise ValueError("witness must be present exactly on failure")
-
-
-def single_deletions(word: Word) -> frozenset[Word]:
-    """All distinct words obtained by deleting one position of ``word``."""
-    if not word:
-        raise ValueError("cannot delete from the empty word")
-    return frozenset(word[:i] + word[i + 1 :] for i in range(len(word)))
 
 
 def _check_sphere_args(word: Word, s: int, cap: int) -> None:
@@ -68,10 +52,6 @@ def sphere_members(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> frozens
     for _ in range(s):
         members = {w[:i] + w[i + 1 :] for w in members for i in range(len(w))}
     return frozenset(members)
-
-
-def deletion_sphere(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> Sphere:
-    return Sphere(center=word, deletions=s, members=sphere_members(word, s, cap))
 
 
 def spheres_intersect(

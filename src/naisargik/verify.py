@@ -15,13 +15,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .helberg import (
-    HelbergParams,
-    WeightSequence,
     cardinality_lower_bound,
     cardinality_upper_bound,
     helberg_census,
     helberg_classes,
-    helberg_code,
     moment,
     reduction_code,
     torsion_code,
@@ -29,7 +26,7 @@ from .helberg import (
 )
 from .maps import SymbolMap, naisargik_map
 from .spheres import CorrectionReport, check_deletion_correcting
-from .vt import BinaryVtParams, QaryVtParams, binary_vt_code, qary_vt_classes, qary_vt_code
+from .vt import binary_vt_classes, qary_vt_classes
 from .words import DEFAULT_MAX_ENUM, Word, format_word
 
 
@@ -46,9 +43,12 @@ class CampaignCell:
 class CampaignResult:
     campaign: str
     params: dict
-    passed: bool
     cells: tuple[CampaignCell, ...]
     summary: dict
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.cells)
 
     def first_failure(self) -> CampaignCell | None:
         for cell in self.cells:
@@ -82,34 +82,6 @@ def _witness_detail(report: CorrectionReport) -> dict:
     }
 
 
-def _as_codebook(source, limit: int) -> frozenset[Word]:
-    """Accept a parameter object or any iterable of words."""
-    if isinstance(source, HelbergParams):
-        return helberg_code(source, limit)
-    if isinstance(source, QaryVtParams):
-        return qary_vt_code(source, limit)
-    return frozenset(source)
-
-
-def image_code(
-    source, smap: SymbolMap, limit: int = DEFAULT_MAX_ENUM
-) -> frozenset[Word]:
-    """Forward map of a codebook (given as params or words); size is preserved."""
-    return frozenset(smap.apply(w) for w in _as_codebook(source, limit))
-
-
-def inverse_image_code(
-    source, smap: SymbolMap, limit: int = DEFAULT_MAX_ENUM
-) -> frozenset[Word]:
-    """Inverse map of an even-length binary codebook (params or words)."""
-    return frozenset(smap.invert(w) for w in _as_codebook(source, limit))
-
-
-def image_residue(x: Word, smap: SymbolMap, binary_weights: WeightSequence) -> int:
-    """Moment residue of the mapped word under a binary weight sequence."""
-    return moment(smap.apply(x), binary_weights) % binary_weights.modulus
-
-
 def _correction_cell(args: tuple) -> CampaignCell:
     label, codewords, check_s = args
     report = check_deletion_correcting(codewords, check_s)
@@ -137,10 +109,38 @@ def _run_cells(
         return list(pool.map(fn, inputs, chunksize=max(1, len(inputs) // (4 * workers))))
 
 
-def _max_summary(classes: dict[int, tuple[Word, ...]]) -> dict:
+def _correction_cells(
+    classes: dict[int | tuple[int, int], tuple[Word, ...]],
+    check_s: int,
+    workers: int,
+    transform: Callable[[Word], Word] | None = None,
+    min_size: int = 2,
+) -> tuple[CampaignCell, ...]:
+    """Decide every class of at least ``min_size`` words at ``check_s`` deletions.
+
+    Smaller classes are trivial: they get no cell, so a campaign tallies them
+    as its residues minus its cells.  ``transform`` maps each codeword before
+    the check.  A class keyed by a residue pair is labelled ``a=..,b=..``.
+    """
+    inputs = [
+        (
+            f"a={key[0]},b={key[1]}" if isinstance(key, tuple) else f"a={key}",
+            [transform(w) for w in ws] if transform else ws,
+            check_s,
+        )
+        for key, ws in classes.items()
+        if len(ws) >= min_size
+    ]
+    return tuple(_run_cells(inputs, _correction_cell, workers))
+
+
+def _class_summary(m: int, classes: dict[int, tuple[Word, ...]], cells: tuple) -> dict:
     sizes = {a: len(ws) for a, ws in classes.items()}
     top = max(sizes.values(), default=0)
     return {
+        "modulus": m,
+        "residues": m,
+        "trivial_residues": m - len(cells),
         "max_codewords": top,
         "max_residues": sorted(a for a, c in sizes.items() if c == top),
     }
@@ -161,24 +161,12 @@ def verify_image_correction(
     """
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n, 4, s, limit)
-    inputs = [
-        (f"a={a}", sorted(smap.apply(w) for w in ws), s + 1)
-        for a, ws in classes.items()
-        if len(ws) >= 2
-    ]
-    cells = _run_cells(inputs, _correction_cell, workers)
-    summary = {
-        "modulus": m,
-        "residues": m,
-        "trivial_residues": m - len(inputs),
-        **_max_summary(classes),
-    }
+    cells = _correction_cells(classes, s + 1, workers, smap.apply)
     return CampaignResult(
         campaign="image-correction",
         params={"n": n, "q": 4, "s": s, "check_s": s + 1, "map": smap.name},
-        passed=all(c.passed for c in cells),
-        cells=tuple(cells),
-        summary=summary,
+        cells=cells,
+        summary=_class_summary(m, classes, cells),
     )
 
 
@@ -196,26 +184,13 @@ def verify_inverse_correction(
     if n_bits % 2:
         raise ValueError("binary length must be even to invert the map")
     smap = smap or naisargik_map("phi9")
-    check_s = s // 2
     m, classes = helberg_classes(n_bits, 2, s, limit)
-    inputs = [
-        (f"a={a}", sorted(smap.invert(w) for w in ws), check_s)
-        for a, ws in classes.items()
-        if len(ws) >= 2
-    ]
-    cells = _run_cells(inputs, _correction_cell, workers)
-    summary = {
-        "modulus": m,
-        "residues": m,
-        "trivial_residues": m - len(inputs),
-        **_max_summary(classes),
-    }
+    cells = _correction_cells(classes, s // 2, workers, smap.invert)
     return CampaignResult(
         campaign="inverse-correction",
-        params={"n": n_bits, "q": 2, "s": s, "check_s": check_s, "map": smap.name},
-        passed=all(c.passed for c in cells),
-        cells=tuple(cells),
-        summary=summary,
+        params={"n": n_bits, "q": 2, "s": s, "check_s": s // 2, "map": smap.name},
+        cells=cells,
+        summary=_class_summary(m, classes, cells),
     )
 
 
@@ -269,7 +244,6 @@ def verify_residue_bijection(
     return CampaignResult(
         campaign="residue-bijection",
         params={"n": n, "map": smap.name},
-        passed=all(c.passed for c in cells),
         cells=tuple(cells),
         summary=summary,
     )
@@ -347,7 +321,6 @@ def reduction_analysis(
     return CampaignResult(
         campaign="reduction",
         params={"n": n, "q": q, "s": s, "check_s": check},
-        passed=all(c.passed for c in cells),
         cells=tuple(cells),
         summary=summary,
     )
@@ -381,7 +354,6 @@ def torsion_analysis(
     return CampaignResult(
         campaign="torsion",
         params={"n": n, "q": q, "s": s},
-        passed=all(c.passed for c in cells),
         cells=tuple(cells),
         summary=summary,
     )
@@ -391,23 +363,13 @@ def verify_vt_correction(
     n: int, q: int = 2, limit: int = DEFAULT_MAX_ENUM, workers: int = 1
 ) -> CampaignResult:
     """Every VT residue class (binary or q-ary) corrects a single deletion."""
-    if q == 2:
-        inputs = [
-            (f"a={a}", sorted(binary_vt_code(BinaryVtParams(n, a), limit)), 1)
-            for a in range(n + 1)
-        ]
-    else:
-        inputs = [
-            (f"a={a},b={b}", list(ws), 1)
-            for (a, b), ws in qary_vt_classes(n, q, limit).items()
-        ]
-    cells = _run_cells(inputs, _correction_cell, workers)
+    classes = binary_vt_classes(n, limit) if q == 2 else qary_vt_classes(n, q, limit)
+    cells = _correction_cells(classes, 1, workers, min_size=1)
     return CampaignResult(
         campaign="vt-correction",
         params={"n": n, "q": q, "s": 1},
-        passed=all(c.passed for c in cells),
-        cells=tuple(cells),
-        summary={"classes": len(inputs)},
+        cells=cells,
+        summary={"classes": len(cells)},
     )
 
 
@@ -416,14 +378,10 @@ def verify_helberg_self(
 ) -> CampaignResult:
     """Every Helberg codebook corrects its own deletion budget s."""
     m, classes = helberg_classes(n, q, s, limit)
-    inputs = [
-        (f"a={a}", list(ws), s) for a, ws in classes.items() if len(ws) >= 2
-    ]
-    cells = _run_cells(inputs, _correction_cell, workers)
+    cells = _correction_cells(classes, s, workers)
     return CampaignResult(
         campaign="helberg-self",
         params={"n": n, "q": q, "s": s},
-        passed=all(c.passed for c in cells),
-        cells=tuple(cells),
-        summary={"modulus": m, "trivial_residues": m - len(inputs)},
+        cells=cells,
+        summary={"modulus": m, "trivial_residues": m - len(cells)},
     )

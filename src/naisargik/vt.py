@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .maps import SymbolMap
 from .spheres import sphere_members
@@ -76,6 +77,16 @@ def binary_vt_code(
     return frozenset(
         w for w in iter_words(params.n, 2, limit) if binary_vt_residue(w) == params.a
     )
+
+
+def binary_vt_classes(n: int, limit: int) -> dict[int, tuple[Word, ...]]:
+    """Bucket all of Z_2^n by checksum in one scan; keys are 0..n in order."""
+    if n < 1:
+        raise ValueError("codeword length must be >= 1")
+    buckets: dict[int, list[Word]] = {a: [] for a in range(n + 1)}
+    for w in iter_words(n, 2, limit):
+        buckets[binary_vt_residue(w)].append(w)
+    return {a: tuple(ws) for a, ws in buckets.items()}
 
 
 def signature(word: Word) -> tuple[int, ...]:
@@ -220,15 +231,9 @@ def _image_buckets(words: tuple[Word, ...], smap: SymbolMap) -> dict[Word, list[
     return buckets
 
 
-def equal_weight_scan(
-    n: int, smap: SymbolMap, limit: int = DEFAULT_MAX_ENUM
+def _scan_map(
+    n: int, classes: dict[tuple[int, int], tuple[Word, ...]], smap: SymbolMap
 ) -> EqualWeightScan:
-    """Check the equal-weight property for one map over all of Z_4^n.
-
-    Two images share a 1-deletion sphere member iff they land in a common
-    bucket, so the scan never enumerates non-intersecting pairs.
-    """
-    classes = qary_vt_classes(n, 4, limit)
     pairs: set[tuple[Word, Word]] = set()
     bad: list[tuple[Word, Word]] = []
     for words in classes.values():
@@ -248,6 +253,19 @@ def equal_weight_scan(
         intersecting_pairs=len(pairs),
         counterexample=counterexample,
     )
+
+
+def equal_weight_scan(
+    n: int, smaps: Sequence[SymbolMap], limit: int = DEFAULT_MAX_ENUM
+) -> tuple[EqualWeightScan, ...]:
+    """Check the equal-weight property for each map over all of Z_4^n.
+
+    The residue classes are built once and shared by every map.  Two images
+    share a 1-deletion sphere member iff they land in a common bucket, so the
+    scan never enumerates non-intersecting pairs.
+    """
+    classes = qary_vt_classes(n, 4, limit)
+    return tuple(_scan_map(n, classes, smap) for smap in smaps)
 
 
 def same_residue_witness(

@@ -29,14 +29,19 @@ def check_symbols(word: Word, q: int) -> None:
             raise ValueError(f"symbol {sym} out of range for alphabet Z_{q}")
 
 
+def check_digit_alphabet(q: int) -> None:
+    """Raise ValueError unless words over Z_q serialize as digit strings."""
+    if q > 10:
+        raise ValueError("digit-string serialization requires q <= 10")
+
+
 def parse_word(text: str, q: int) -> Word:
     """Parse a digit string like '0321' into a word over Z_q.
 
     The empty string parses to the empty word.  Only works for q <= 10,
     which covers everything this package constructs.
     """
-    if q > 10:
-        raise ValueError("digit-string serialization requires q <= 10")
+    check_digit_alphabet(q)
     try:
         word = tuple(int(ch) for ch in text.strip())
     except ValueError:

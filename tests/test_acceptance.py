@@ -26,7 +26,6 @@ from naisargik import (
     helberg_census,
     helberg_classes,
     helberg_code,
-    image_code,
     image_pair_diff,
     naisargik_map,
     parse_word,
@@ -217,8 +216,7 @@ def test_criterion_07_inverse_correction():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_criterion_08_equal_weight_scan(n):
     total_pairs = 0
-    for i in range(1, 9):
-        scan = equal_weight_scan(n, naisargik_map(f"phi{i}"))
+    for scan in equal_weight_scan(n, [naisargik_map(f"phi{i}") for i in range(1, 9)]):
         assert scan.passed, scan.counterexample
         total_pairs += scan.intersecting_pairs
     if n >= 2:
@@ -243,10 +241,10 @@ def test_criterion_09_residue_bijection():
         assert mapping == RESIDUE_BIJECTION[n]
         if n in (4, 5):
             assert result.summary["all_classes_equal"]
-    images_40 = image_code(helberg_code(HelbergParams(4, 4, 1, 40)), PHI9)
+    images_40 = {PHI9.apply(w) for w in helberg_code(HelbergParams(4, 4, 1, 40))}
     assert images_40 == {parse_word(img, 2) for _, img in HELBERG_4_4_1_40_IMAGES}
     assert images_40 == helberg_code(HelbergParams(8, 2, 2, 12))
-    images_134 = image_code(helberg_code(HelbergParams(5, 4, 1, 134)), PHI9)
+    images_134 = {PHI9.apply(w) for w in helberg_code(HelbergParams(5, 4, 1, 134))}
     assert images_134 == {parse_word(img, 2) for _, img in HELBERG_5_4_1_134_IMAGES}
     assert images_134 == helberg_code(HelbergParams(10, 2, 2, 32))
     elapsed = time.perf_counter() - start

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from naisargik.cli import main
+from naisargik.cli import CAMPAIGNS, TABLES, main
+from naisargik.tables import Table
+from naisargik.verify import CampaignResult
 from golden import HELBERG_4_4_1_13_IMAGES, VT_1_2_IMAGES
 
 
@@ -46,6 +52,11 @@ class TestGen:
     def test_guard_trips_exit_3(self, capsys):
         code, _ = run(capsys, "gen", "vt-binary", "--n", "20", "--a", "0", "--max-enum", "1000")
         assert code == 3
+
+    def test_qary_alphabet_beyond_digits_is_usage_error(self, capsys):
+        code, out = run(capsys, "gen", "vt-qary", "--n", "2", "--q", "12", "--a", "0", "--b", "0")
+        assert code == 2
+        assert out == ""
 
     def test_json_format(self, capsys):
         code, out = run(
@@ -175,6 +186,11 @@ class TestVerify:
         code, _ = run(capsys, "verify", "thm1", "--s", "1")
         assert code == 2
 
+    def test_alphabet_beyond_digits_is_usage_error(self, capsys):
+        code, out = run(capsys, "verify", "vt1", "--n", "2", "--q", "11")
+        assert code == 2
+        assert out == ""
+
     def test_workers_do_not_change_output(self, capsys):
         _, seq = run(capsys, "verify", "thm1", "--n", "4", "--s", "1", "--format", "json")
         _, par = run(
@@ -267,3 +283,87 @@ def test_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "conj2", "--n", "3", "--format", "json")
     _, second = run(capsys, "verify", "conj2", "--n", "3", "--format", "json")
     assert first == second
+
+
+#: One small invocation per registry entry and the exit code it must give.
+CAMPAIGN_CASES = {
+    "thm1": (("--n", "4", "--s", "1"), 0),
+    "thm2": (("--n", "8", "--s", "3", "--map", "phi8"), 0),
+    "conj1": (("--n", "3", "--maps", "phi1,phi8"), 0),
+    "conj2": (("--n", "3"), 0),
+    "reduction": (("--n", "3", "--s", "1"), 1),
+    "torsion": (("--n", "3", "--q", "2", "--s", "1"), 0),
+    "vt1": (("--n", "5"), 0),
+    "helberg-self": (("--n", "6", "--q", "2", "--s", "1"), 0),
+}
+TABLE_CASES = {
+    "table2": (),
+    "table3": (),
+    "table5": ("--n", "3"),
+    "table6": ("--n", "3..4"),
+    "table7": ("--n", "2..3"),
+    "table8": ("--n", "3..4", "--s", "1"),
+    "table9": ("--n", "8", "--s", "1"),
+    "table10": (),
+    "table11": (),
+    "table12": (),
+    "table13": (),
+    "table14": (),
+    "table15": ("--n", "3", "--q", "3"),
+    "bounds": ("--n", "2..3"),
+}
+
+
+def test_registry_cases_cover_every_key():
+    assert list(CAMPAIGN_CASES) == list(CAMPAIGNS)
+    assert list(TABLE_CASES) == list(TABLES)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("verify", key, *args), code) for key, (args, code) in CAMPAIGN_CASES.items()]
+    + [(("tables", key, *args), 0) for key, args in TABLE_CASES.items()],
+    ids=[f"verify-{key}" for key in CAMPAIGN_CASES] + [f"tables-{key}" for key in TABLE_CASES],
+)
+def test_registry_entry_runs_alike_for_any_worker_count(capsys, argv, expected):
+    for fmt in ("text", "json"):
+        code, seq = run(capsys, *argv, "--format", fmt, "--workers", "1")
+        assert code == expected
+        assert seq
+        code, par = run(capsys, *argv, "--format", fmt, "--workers", "2")
+        assert code == expected
+        assert par == seq
+
+
+def test_registries_look_builders_up_at_call_time(capsys, monkeypatch):
+    # A wrapper installed on the module after import must be the one that runs.
+    calls = []
+
+    def fake_campaign(*args):
+        calls.append("campaign")
+        return CampaignResult("fake", {}, (), {})
+
+    def fake_table(*args, **kwargs):
+        calls.append("table")
+        return Table("fake", ("h",), ())
+
+    monkeypatch.setattr("naisargik.cli.verify_vt_correction", fake_campaign)
+    monkeypatch.setattr("naisargik.tables.table3", fake_table)
+    code, out = run(capsys, "verify", "vt1", "--n", "3")
+    assert code == 0 and lines(out)[0] == "campaign: fake"
+    assert run(capsys, "tables", "table3") == (0, "h\n")
+    assert calls == ["campaign", "table"]
+
+
+def test_make_tables_writes_every_registry_table(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_tables.py"), "--out", str(tmp_path)],
+        check=True,
+        capture_output=True,
+        env=env,
+    )
+    names = sorted(path.name for path in tmp_path.iterdir())
+    expected = ["bounds.csv"] + [f"table{i}.csv" for i in (2, 3, *range(5, 16))]
+    assert names == sorted(expected)

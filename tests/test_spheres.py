@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from naisargik import (
     ResourceLimitError,
     check_deletion_correcting,
-    deletion_sphere,
-    single_deletions,
     sphere_members,
     spheres_intersect,
 )
@@ -17,27 +15,26 @@ from conftest import sphere_by_index_subsets, words_strategy
 
 
 def test_single_deletions_collapses_repeats():
-    assert single_deletions((0, 0)) == {(0,)}
+    assert sphere_members((0, 0), 1) == {(0,)}
 
 
 def test_single_deletions_examples():
-    assert single_deletions((0, 1, 0, 0, 0, 0)) == {
+    assert sphere_members((0, 1, 0, 0, 0, 0), 1) == {
         (1, 0, 0, 0, 0),
         (0, 0, 0, 0, 0),
         (0, 1, 0, 0, 0),
     }
-    assert len(single_deletions((0, 1, 2, 3))) == 4
+    assert len(sphere_members((0, 1, 2, 3), 1)) == 4
 
 
 def test_single_deletions_rejects_empty():
     with pytest.raises(ValueError):
-        single_deletions(())
+        sphere_members((), 1)
 
 
 def test_sphere_of_000101_contains_every_subsequence():
     # Dropping both ones leaves 0000, so the sphere has five members, not four.
-    sphere = deletion_sphere((0, 0, 0, 1, 0, 1), 2)
-    assert sphere.members == {
+    assert sphere_members((0, 0, 0, 1, 0, 1), 2) == {
         (0, 1, 0, 1),
         (0, 0, 0, 1),
         (0, 0, 1, 1),
@@ -47,7 +44,7 @@ def test_sphere_of_000101_contains_every_subsequence():
 
 
 def test_sphere_of_010000():
-    assert deletion_sphere((0, 1, 0, 0, 0, 0), 2).members == {
+    assert sphere_members((0, 1, 0, 0, 0, 0), 2) == {
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -56,17 +53,17 @@ def test_sphere_of_010000():
 
 def test_sphere_zero_deletions_is_the_center():
     word = (2, 0, 1, 3)
-    assert deletion_sphere(word, 0).members == {word}
+    assert sphere_members(word, 0) == {word}
 
 
 def test_sphere_full_deletion_is_the_empty_word():
-    assert deletion_sphere((1, 0, 1), 3).members == {()}
+    assert sphere_members((1, 0, 1), 3) == {()}
 
 
 @pytest.mark.parametrize("s", [-1, 4])
 def test_sphere_rejects_out_of_range_s(s):
     with pytest.raises(ValueError):
-        deletion_sphere((0, 1, 0), s)
+        sphere_members((0, 1, 0), s)
 
 
 def test_sphere_cap_guard():

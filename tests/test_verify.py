@@ -7,9 +7,7 @@ from naisargik import (
     HelbergParams,
     cardinality_comparison,
     helberg_code,
-    image_code,
-    image_residue,
-    inverse_image_code,
+    moment,
     naisargik_map,
     parse_word,
     reduction_analysis,
@@ -36,27 +34,24 @@ PHI9 = naisargik_map("phi9")
 def test_image_code_golden_class_13():
     code = helberg_code(HelbergParams(4, 4, 1, 13))
     expected = {parse_word(img, 2) for _, img in HELBERG_4_4_1_13_IMAGES}
-    assert image_code(code, PHI9) == expected
-    # A params object works as the codebook source directly.
-    assert image_code(HelbergParams(4, 4, 1, 13), PHI9) == expected
+    assert {PHI9.apply(w) for w in code} == expected
 
 
 def test_image_code_golden_class_40():
     code = helberg_code(HelbergParams(4, 4, 1, 40))
     expected = {parse_word(img, 2) for _, img in HELBERG_4_4_1_40_IMAGES}
-    assert image_code(code, PHI9) == expected
+    assert {PHI9.apply(w) for w in code} == expected
 
 
 def test_image_code_preserves_cardinality():
     code = helberg_code(HelbergParams(5, 4, 1, 134))
-    assert len(image_code(code, PHI9)) == len(code)
-    assert image_code(frozenset(), PHI9) == frozenset()
+    assert len({PHI9.apply(w) for w in code}) == len(code)
 
 
 def test_inverse_image_golden():
     code = helberg_code(HelbergParams(10, 2, 2, 66))
     expected = {parse_word(w, 4) for _, w in HELBERG_10_2_2_66_INVERSE}
-    inverse = inverse_image_code(code, PHI9)
+    inverse = {PHI9.invert(w) for w in code}
     assert inverse == expected
     assert (2, 3, 2, 1, 0) in inverse
 
@@ -100,10 +95,10 @@ def test_image_residue_examples():
     w8 = weight_sequence(8, 2, 2)
     for a, expected in [(40, 12), (13, 33)]:
         for x in sorted(helberg_code(HelbergParams(4, 4, 1, a))):
-            assert image_residue(x, PHI9, w8) == expected
+            assert moment(PHI9.apply(x), w8) % w8.modulus == expected
     w10 = weight_sequence(10, 2, 2)
     for x in sorted(helberg_code(HelbergParams(5, 4, 1, 134))):
-        assert image_residue(x, PHI9, w10) == 32
+        assert moment(PHI9.apply(x), w10) % w10.modulus == 32
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -122,7 +117,7 @@ def test_residue_bijection_images_match_binary_class():
     assert cell.detail["set_equal"]
     expected = {parse_word(img, 2) for _, img in HELBERG_5_4_1_134_IMAGES}
     code = helberg_code(HelbergParams(5, 4, 1, 134))
-    assert image_code(code, PHI9) == expected
+    assert {PHI9.apply(w) for w in code} == expected
 
 
 def test_cardinality_comparison_recomputed():

@@ -9,6 +9,7 @@ from naisargik import (
     QaryVtParams,
     ResourceLimitError,
     all_bijections,
+    binary_vt_classes,
     binary_vt_code,
     binary_vt_residue,
     equal_weight_scan,
@@ -49,6 +50,22 @@ def test_binary_code_small():
 def test_binary_partition(n):
     total = sum(len(binary_vt_code(BinaryVtParams(n, a))) for a in range(n + 1))
     assert total == 2**n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_binary_classes_match_codes(n):
+    classes = binary_vt_classes(n, 2**n)
+    assert list(classes) == list(range(n + 1))
+    for a, words in classes.items():
+        assert words == tuple(sorted(binary_vt_code(BinaryVtParams(n, a))))
+
+
+def test_binary_classes_guards():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            binary_vt_classes(n, 1000)
+    with pytest.raises(ResourceLimitError):
+        binary_vt_classes(12, 1000)
 
 
 def test_params_validation():
@@ -135,12 +152,19 @@ def test_image_pair_diff_rejects_mismatch():
 
 @pytest.mark.parametrize("name", [f"phi{i}" for i in range(1, 9)])
 def test_equal_weight_scan_small(name):
-    scan = equal_weight_scan(2, naisargik_map(name))
+    (scan,) = equal_weight_scan(2, [naisargik_map(name)])
     assert scan.passed
 
 
+def test_equal_weight_scan_shares_classes_across_maps():
+    maps = [naisargik_map(f"phi{i}") for i in range(1, 9)]
+    together = equal_weight_scan(3, maps)
+    assert [scan.map_name for scan in together] == [m.name for m in maps]
+    assert together == tuple(equal_weight_scan(3, [m])[0] for m in maps)
+
+
 def test_equal_weight_scan_finds_intersections():
-    scan = equal_weight_scan(4, naisargik_map("phi8"))
+    (scan,) = equal_weight_scan(4, [naisargik_map("phi8")])
     assert scan.passed
     assert scan.intersecting_pairs >= 1
     assert scan.classes == 16
