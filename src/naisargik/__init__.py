@@ -32,12 +32,7 @@ from .maps import (
     phi9_bits_from_symbol,
     phi9_symbol_from_bits,
 )
-from .spheres import (
-    CorrectionReport,
-    check_deletion_correcting,
-    sphere_members,
-    spheres_intersect,
-)
+from .spheres import CorrectionReport, check_deletion_correcting, sphere_members
 from .verify import (
     CampaignCell,
     CampaignResult,

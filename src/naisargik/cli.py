@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import tables as tables_mod
 from .helberg import HelbergParams, helberg_code
-from .maps import naisargik_map
+from .maps import VT_MAP_NAMES, naisargik_map
 from .spheres import sphere_members
 from .tables import Table
 from .verify import (
@@ -254,7 +254,9 @@ CAMPAIGNS: dict[str, Callable[[dict, int, int], CampaignResult]] = {
         _need(p, "n"), _need(p, "s"), _opt_map(p), limit, workers
     ),
     "conj1": lambda p, limit, workers: _scan_campaign(
-        names=_parse_map_list(p.get("maps") or "phi1..phi8"), n=_need(p, "n"), limit=limit
+        names=_parse_map_list(p["maps"]) if p.get("maps") else VT_MAP_NAMES,
+        n=_need(p, "n"),
+        limit=limit,
     ),
     "conj2": lambda p, limit, workers: verify_residue_bijection(_need(p, "n"), limit),
     "reduction": lambda p, limit, workers: reduction_analysis(
@@ -377,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--q", type=int)
     t.add_argument("--s", type=int)
     t.add_argument("--a", type=int)
-    t.add_argument("--b", type=int)
     common(t, fmt_default="csv")
 
     return parser

@@ -27,7 +27,6 @@ class CorrectionReport:
     their spheres share.
     """
 
-    deletions: int
     ok: bool
     witness: tuple[Word, Word, Word] | None = None
 
@@ -52,16 +51,6 @@ def sphere_members(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> frozens
     for _ in range(s):
         members = {w[:i] + w[i + 1 :] for w in members for i in range(len(w))}
     return frozenset(members)
-
-
-def spheres_intersect(
-    x: Word, y: Word, s: int, cap: int = DEFAULT_SPHERE_CAP
-) -> tuple[bool, frozenset[Word]]:
-    """Whether D_s(x) and D_s(y) share a member, plus the shared set."""
-    if len(x) != len(y):
-        raise ValueError("sphere intersection needs equal-length words")
-    shared = sphere_members(x, s, cap) & sphere_members(y, s, cap)
-    return bool(shared), shared
 
 
 def check_deletion_correcting(
@@ -89,7 +78,7 @@ def check_deletion_correcting(
             if other != word:
                 violating.add((other, word))
     if not violating:
-        return CorrectionReport(deletions=s, ok=True)
+        return CorrectionReport(ok=True)
     x, y = min(violating)
     shared = sphere_members(x, s, cap) & sphere_members(y, s, cap)
-    return CorrectionReport(deletions=s, ok=False, witness=(x, y, min(shared)))
+    return CorrectionReport(ok=False, witness=(x, y, min(shared)))

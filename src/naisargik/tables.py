@@ -9,19 +9,17 @@ saying the values are recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .helberg import (
     cardinality_lower_bound,
     cardinality_upper_bound,
     helberg_census,
     helberg_classes,
-    moment,
-    weight_sequence,
 )
 from .maps import naisargik_map
 from .spheres import sphere_members
-from .verify import cardinality_comparison, verify_residue_bijection
+from .verify import cardinality_comparison, phi9_image_classes, verify_residue_bijection
 from .vt import image_pair_diff, qary_vt_census, qary_vt_classes
 from .words import DEFAULT_MAX_ENUM, format_word, parse_word
 
@@ -146,38 +144,23 @@ def table9(
     return Table("table9", ("codeword", "image"), rows)
 
 
-def _image_vs_binary(n: int, a: int, limit: int) -> Table:
-    smap = naisargik_map("phi9")
-    _, classes4 = helberg_classes(n, 4, 1, limit)
-    w2 = weight_sequence(2 * n, 2, 2)
-    _, classes2 = helberg_classes(2 * n, 2, 2, limit)
-    words = classes4.get(a, ())
-    residues = {moment(smap.apply(w), w2) % w2.modulus for w in words}
-    binary_class = set()
-    if len(residues) == 1:
-        binary_class = set(classes2.get(min(residues), ()))
-    rows = []
-    for w in words:
-        img = smap.apply(w)
-        rows.append(
-            (
-                format_word(w),
-                format_word(img),
-                format_word(img) if img in binary_class else "",
-            )
-        )
-    return Table(f"table-image-{n}", ("codeword", "image", "binary_codeword"), tuple(rows))
-
-
 def table10(n: int = 4, a: int = 40, limit: int = DEFAULT_MAX_ENUM) -> Table:
-    """phi9 images of one maximal quaternary class against its binary class."""
-    t = _image_vs_binary(n, a, limit)
-    return Table("table10", t.headers, t.rows)
+    """phi9 images of one quaternary class against its binary class."""
+    pairs, _, binary_class = phi9_image_classes(n, (a,), limit)[a]
+    rows = tuple(
+        (
+            format_word(w),
+            format_word(img),
+            format_word(img) if img in binary_class else "",
+        )
+        for w, img in pairs
+    )
+    return Table("table10", ("codeword", "image", "binary_codeword"), rows)
 
 
 def table11(n: int = 5, a: int = 134, limit: int = DEFAULT_MAX_ENUM) -> Table:
-    t = _image_vs_binary(n, a, limit)
-    return Table("table11", t.headers, t.rows)
+    """Table 10 for the maximal class a = 134 at n = 5."""
+    return replace(table10(n, a, limit), name="table11")
 
 
 def table12(n: int = 4, s: int = 1, a: int = 13, limit: int = DEFAULT_MAX_ENUM) -> Table:

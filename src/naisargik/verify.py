@@ -194,6 +194,38 @@ def verify_inverse_correction(
     )
 
 
+def phi9_image_classes(
+    n: int, residues: Iterable[int] | None, limit: int
+) -> dict[int, tuple[tuple[tuple[Word, Word], ...], frozenset[int], frozenset[Word]]]:
+    """phi9 images of classes of H(n, 4, 1, .) beside their class of H(2n, 2, 2, .).
+
+    ``residues`` picks the quaternary classes; None picks every class of
+    maximum cardinality.  Each picked residue a maps to a triple: the
+    (codeword, image) pairs of H(n, 4, 1, a) in class order, the residues of
+    the images in H(2n, 2, 2, .), and the class H(2n, 2, 2, a') when those
+    residues are the single a' (else the empty set).  Each code is scanned
+    once per call.
+    """
+    smap = naisargik_map("phi9")
+    _, classes4 = helberg_classes(n, 4, 1, limit)
+    if residues is None:
+        top = max(len(ws) for ws in classes4.values())
+        residues = [a for a, ws in classes4.items() if len(ws) == top]
+    w2 = weight_sequence(2 * n, 2, 2)
+    _, classes2 = helberg_classes(2 * n, 2, 2, limit)
+    out = {}
+    for a in residues:
+        pairs = tuple((w, smap.apply(w)) for w in classes4.get(a, ()))
+        image_residues = frozenset(moment(img, w2) % w2.modulus for _, img in pairs)
+        binary_class = (
+            frozenset(classes2[min(image_residues)])
+            if len(image_residues) == 1
+            else frozenset()
+        )
+        out[a] = (pairs, image_residues, binary_class)
+    return out
+
+
 def verify_residue_bijection(
     n: int, limit: int = DEFAULT_MAX_ENUM
 ) -> CampaignResult:
@@ -203,47 +235,36 @@ def verify_residue_bijection(
     images must share a single residue a' of H(2n, 2, 2, .), be a subset of
     that class, and (stronger, reported separately) equal it.
     """
-    smap = naisargik_map("phi9")
-    _, classes4 = helberg_classes(n, 4, 1, limit)
-    top = max(len(ws) for ws in classes4.values())
-    w2 = weight_sequence(2 * n, 2, 2)
-    _, classes2 = helberg_classes(2 * n, 2, 2, limit)
     cells = []
     mapping: list[tuple[int, int]] = []
-    all_equal = True
-    for a, ws in classes4.items():
-        if len(ws) != top:
-            continue
-        images = {smap.apply(w) for w in ws}
-        residues = {moment(img, w2) % w2.modulus for img in images}
-        consistent = len(residues) == 1
-        a_prime = min(residues)
-        binary_class = set(classes2.get(a_prime, ()))
+    classes = phi9_image_classes(n, None, limit)
+    for a, (pairs, image_residues, binary_class) in classes.items():
+        images = {img for _, img in pairs}
+        consistent = len(image_residues) == 1
+        a_prime = min(image_residues)
         subset = consistent and images <= binary_class
-        equal = consistent and images == binary_class
-        all_equal = all_equal and equal
         mapping.append((a, a_prime))
         cells.append(
             CampaignCell(
                 label=f"a={a}",
-                passed=consistent and subset,
+                passed=subset,
                 detail={
                     "image_residue": a_prime,
                     "consistent": consistent,
                     "subset": subset,
-                    "set_equal": equal,
-                    "codewords": len(ws),
+                    "set_equal": consistent and images == binary_class,
+                    "codewords": len(pairs),
                 },
             )
         )
     summary = {
-        "max_codewords": top,
+        "max_codewords": max(c.detail["codewords"] for c in cells),
         "mapping": mapping,
-        "all_classes_equal": all_equal,
+        "all_classes_equal": all(c.detail["set_equal"] for c in cells),
     }
     return CampaignResult(
         campaign="residue-bijection",
-        params={"n": n, "map": smap.name},
+        params={"n": n, "map": "phi9"},
         cells=tuple(cells),
         summary=summary,
     )

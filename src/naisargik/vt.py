@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .maps import SymbolMap
-from .spheres import sphere_members
+from .spheres import check_deletion_correcting, sphere_members
 from .words import (
     DEFAULT_MAX_ENUM,
     Word,
@@ -274,18 +274,14 @@ def same_residue_witness(
     """First same-residue image pair with intersecting 1-deletion spheres.
 
     Residue classes are visited in sorted order; within a class the
-    lexicographically first intersecting image pair wins.  Returns the two
+    lexicographically first intersecting image pair wins, which is the
+    witness pair of the class's single-deletion check.  Returns the two
     images and the full shared member set, or None if every class has
     pairwise disjoint spheres.
     """
     for words in qary_vt_classes(n, 4, limit).values():
-        candidates: set[tuple[Word, Word]] = set()
-        for members in _image_buckets(words, smap).values():
-            if len(members) < 2:
-                continue
-            candidates.update(itertools.combinations(sorted(members), 2))
-        if candidates:
-            x, y = min(candidates)
-            shared = sphere_members(x, 1) & sphere_members(y, 1)
-            return x, y, shared
+        report = check_deletion_correcting([smap.apply(w) for w in words], 1)
+        if not report.ok:
+            x, y, _ = report.witness
+            return x, y, sphere_members(x, 1) & sphere_members(y, 1)
     return None

@@ -22,6 +22,17 @@ def all_words(n, q):
     return itertools.product(range(q), repeat=n)
 
 
+def least_colliding_pair(words, s):
+    """Brute-force oracle: the least pair of words whose s-deletion spheres
+    share a member, with the shared set, or None if all spheres are disjoint."""
+    spheres = {w: sphere_by_index_subsets(w, s) for w in words}
+    for x, y in itertools.combinations(sorted(spheres), 2):
+        shared = spheres[x] & spheres[y]
+        if shared:
+            return x, y, shared
+    return None
+
+
 #: Largest word space the enumeration oracle visits.
 ORACLE_MAX_WORDS = 4**7
 

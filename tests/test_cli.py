@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -152,6 +153,7 @@ class TestVerify:
     def test_conj1(self, capsys):
         code, out = run(capsys, "verify", "conj1", "--n", "3")
         assert code == 0
+        assert "params: n=3 maps=" + ",".join(f"phi{i}" for i in range(1, 9)) in out
         assert "passed: yes" in out
 
     def test_conj2(self, capsys):
@@ -262,6 +264,11 @@ class TestTables:
             main(["tables", "table4"])
         assert exc.value.code == 2
 
+    def test_unknown_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "table5", "--b", "3"])
+        assert exc.value.code == 2
+
     def test_text_format_alignment(self, capsys):
         code, out = run(capsys, "tables", "table5", "--format", "text")
         assert code == 0
@@ -355,15 +362,42 @@ def test_registries_look_builders_up_at_call_time(capsys, monkeypatch):
     assert calls == ["campaign", "table"]
 
 
-def test_make_tables_writes_every_registry_table(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    subprocess.run(
-        [sys.executable, str(root / "scripts" / "make_tables.py"), "--out", str(tmp_path)],
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
         check=True,
         capture_output=True,
+        text=True,
         env=env,
     )
+
+
+def test_make_tables_writes_every_registry_table(tmp_path):
+    run_script("make_tables.py", "--out", str(tmp_path))
     names = sorted(path.name for path in tmp_path.iterdir())
     expected = ["bounds.csv"] + [f"table{i}.csv" for i in (2, 3, *range(5, 16))]
     assert names == sorted(expected)
+
+
+def test_run_campaigns_fast_prints_each_grid_entry_then_the_table(capsys):
+    spec = importlib.util.spec_from_file_location("run_campaigns", SCRIPTS / "run_campaigns.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    entries = script.grid(fast=True)
+    out = run_script("run_campaigns.py", "--fast").stdout.splitlines()
+    for line, (key, params) in zip(out, entries):
+        fields = line.split()
+        assert fields[: 1 + len(params)] == [key, *(f"{k}={v}" for k, v in params.items())]
+        assert fields[1 + len(params)] == "pass"
+    _, table = run(capsys, "tables", "table7", "--format", "text")
+    assert out[len(entries) :] == [
+        "",
+        "cardinality comparison (recomputed):",
+        *lines(table),
+        "",
+        "overall: all campaigns passed",
+    ]

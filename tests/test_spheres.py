@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naisargik import (
-    ResourceLimitError,
-    check_deletion_correcting,
-    sphere_members,
-    spheres_intersect,
-)
+from naisargik import ResourceLimitError, check_deletion_correcting, sphere_members
 from conftest import sphere_by_index_subsets, words_strategy
 
 
@@ -104,24 +99,21 @@ def test_constant_word_collapses_to_one_member():
 
 
 def test_intersection_basics():
-    full, shared = spheres_intersect((0, 1, 2), (0, 1, 2), 1)
-    assert full and shared == sphere_members((0, 1, 2), 1)
+    assert not sphere_members((0, 1, 2), 1) & sphere_members((2, 1, 0), 1)
 
-    hit, shared = spheres_intersect(
-        (1, 0, 0, 1, 0, 1, 0, 1), (1, 0, 0, 1, 1, 0, 1, 0), 1
-    )
-    assert hit and (1, 0, 0, 1, 0, 1, 0) in shared
+    x, y = (1, 0, 0, 1, 0, 1, 0, 1), (1, 0, 0, 1, 1, 0, 1, 0)
+    assert (1, 0, 0, 1, 0, 1, 0) in sphere_members(x, 1) & sphere_members(y, 1)
 
 
 def test_the_000101_pair_intersects_at_two_deletions():
     # The shared member 0000 shows this pair is not 2-deletion correcting.
-    hit, shared = spheres_intersect((0, 0, 0, 1, 0, 1), (0, 1, 0, 0, 0, 0), 2)
-    assert hit and shared == {(0, 0, 0, 0)}
+    x, y = (0, 0, 0, 1, 0, 1), (0, 1, 0, 0, 0, 0)
+    assert sphere_members(x, 2) & sphere_members(y, 2) == {(0, 0, 0, 0)}
 
 
 def test_intersection_rejects_unequal_lengths():
     with pytest.raises(ValueError):
-        spheres_intersect((0, 1), (0, 1, 0), 1)
+        check_deletion_correcting([(0, 1), (0, 1, 0)], 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,7 +124,8 @@ def test_intersection_is_symmetric(word_q, data):
         data.draw(st.integers(min_value=0, max_value=q - 1)) for _ in range(len(x))
     )
     s = data.draw(st.integers(min_value=0, max_value=min(2, len(x))))
-    assert spheres_intersect(x, y, s) == spheres_intersect(y, x, s)
+    shared = sphere_members(x, s) & sphere_members(y, s)
+    assert shared == sphere_by_index_subsets(y, s) & sphere_by_index_subsets(x, s)
 
 
 class TestCorrectionCheck:
@@ -177,8 +170,6 @@ class TestCorrectionCheck:
         from naisargik import CorrectionReport
 
         with pytest.raises(ValueError):
-            CorrectionReport(deletions=1, ok=False, witness=None)
+            CorrectionReport(ok=False, witness=None)
         with pytest.raises(ValueError):
-            CorrectionReport(
-                deletions=1, ok=True, witness=((0,), (1,), ())
-            )
+            CorrectionReport(ok=True, witness=((0,), (1,), ()))

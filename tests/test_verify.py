@@ -6,6 +6,7 @@ import pytest
 from naisargik import (
     HelbergParams,
     cardinality_comparison,
+    format_word,
     helberg_code,
     moment,
     naisargik_map,
@@ -19,6 +20,7 @@ from naisargik import (
     verify_vt_correction,
     weight_sequence,
 )
+from naisargik import tables as tables_mod
 from naisargik.verify import effective_workers
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
@@ -118,6 +120,36 @@ def test_residue_bijection_images_match_binary_class():
     expected = {parse_word(img, 2) for _, img in HELBERG_5_4_1_134_IMAGES}
     code = helberg_code(HelbergParams(5, 4, 1, 134))
     assert {PHI9.apply(w) for w in code} == expected
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, n, a",
+    [
+        ("table10", {}, 4, 40),
+        ("table11", {}, 5, 134),
+        ("table10", {"n": 4, "a": 0}, 4, 0),
+        ("table10", {"n": 4, "a": 6}, 4, 6),
+    ],
+    ids=["table10", "table11", "table10-a0", "table10-a6"],
+)
+def test_image_tables_match_codes_built_by_definition(name, kwargs, n, a):
+    # The third column holds an image exactly when all images of the class
+    # share one binary residue a' and the image lies in H(2n, 2, 2, a').
+    table = getattr(tables_mod, name)(**kwargs)
+    code = sorted(helberg_code(HelbergParams(n, 4, 1, a)))
+    images = [PHI9.apply(w) for w in code]
+    w2 = weight_sequence(2 * n, 2, 2)
+    image_residues = {moment(img, w2) % w2.modulus for img in images}
+    binary = set()
+    if len(image_residues) == 1:
+        binary = helberg_code(HelbergParams(2 * n, 2, 2, image_residues.pop()))
+    expected = tuple(
+        (format_word(w), format_word(img), format_word(img) if img in binary else "")
+        for w, img in zip(code, images)
+    )
+    assert table.name == name
+    assert table.headers == ("codeword", "image", "binary_codeword")
+    assert table.rows == expected
 
 
 def test_cardinality_comparison_recomputed():

@@ -23,9 +23,8 @@ from naisargik import (
     same_residue_witness,
     signature,
     sphere_members,
-    spheres_intersect,
 )
-from conftest import enumerated_census
+from conftest import all_words, enumerated_census, least_colliding_pair
 from golden import RESIDUE_DIFF_ROWS, VT_1_2_IMAGES, VT_4_4_CENSUS
 
 
@@ -173,8 +172,7 @@ def test_equal_weight_scan_finds_intersections():
 def test_equal_weight_bound_on_binary_weights():
     # Intersecting 1-deletion spheres can shift the weight by at most one.
     for x, y in itertools.combinations(itertools.product((0, 1), repeat=6), 2):
-        hit, _ = spheres_intersect(x, y, 1)
-        if hit:
+        if sphere_members(x, 1) & sphere_members(y, 1):
             assert abs(sum(x) - sum(y)) <= 1
 
 
@@ -206,6 +204,20 @@ def test_same_residue_witness_at_length_four():
     assert qary_vt_residues(phi8.invert(x), 4) == qary_vt_residues(phi8.invert(y), 4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_same_residue_witness_matches_brute_force(n):
+    classes = {}
+    for w in all_words(n, 4):
+        classes.setdefault(qary_vt_residues(w, 4), []).append(w)
+    for smap in all_bijections():
+        expected = None
+        for residue in sorted(classes):
+            expected = least_colliding_pair([smap.apply(w) for w in classes[residue]], 1)
+            if expected:
+                break
+        assert same_residue_witness(n, smap) == expected, smap.name
+
+
 def test_witness_pair_3311_3302_recomputes_cleanly():
     # The image pair 10100101 / 10100011 inverts to 3311 and 3302, both in
     # residue class (0, 0), sharing exactly two one-deletion subsequences.
@@ -217,8 +229,7 @@ def test_witness_pair_3311_3302_recomputes_cleanly():
     assert qary_vt_residues((3, 3, 1, 1), 4) == (0, 0)
     assert qary_vt_residues((3, 3, 0, 2), 4) == (0, 0)
     assert qary_vt_residues((3, 3, 2, 2), 4) != (0, 0)
-    hit, shared = spheres_intersect(x_bits, y_bits, 1)
-    assert hit
+    shared = sphere_members(x_bits, 1) & sphere_members(y_bits, 1)
     assert shared == {(1, 0, 1, 0, 0, 0, 1), (1, 0, 1, 0, 0, 1, 1)}
 
 
