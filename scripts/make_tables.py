@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 
 from naisargik import DEFAULT_MAX_ENUM
-from naisargik.cli import TABLES
+from naisargik.cli import TABLES, build_table
 
 
 def main() -> int:
@@ -21,8 +21,8 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for build in TABLES.values():
-        table = build({}, None, DEFAULT_MAX_ENUM)
+    for name in TABLES:
+        table = build_table(name, {}, DEFAULT_MAX_ENUM)
         path = out_dir / f"{table.name}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

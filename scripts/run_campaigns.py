@@ -6,7 +6,7 @@ plus the n=7 single-deletion row), inverse images at floor(s/2) (binary
 lengths up to 12, s in {2,3,4}), the equal-weight scans for phi1..phi8 up to
 n = 8, the residue bijection for n = 3..7, reduction/torsion analyses, and
 the cardinality comparison.  Every campaign runs through ``cli.CAMPAIGNS``
-and the comparison through ``cli.TABLES``.  Exits nonzero if any
+and the comparison through ``cli.build_table``.  Exits nonzero if any
 theorem-backed campaign fails.
 
 Usage: python scripts/run_campaigns.py [--workers N] [--fast]
@@ -19,7 +19,7 @@ import sys
 import time
 
 from naisargik import DEFAULT_MAX_ENUM
-from naisargik.cli import CAMPAIGNS, TABLES, _emit_table
+from naisargik.cli import CAMPAIGNS, _emit_table, build_table
 
 
 def grid(fast: bool) -> list[tuple[str, dict]]:
@@ -45,7 +45,7 @@ def main() -> int:
     ok = True
     for key, params in grid(args.fast):
         started = time.perf_counter()
-        result = CAMPAIGNS[key](params, DEFAULT_MAX_ENUM, args.workers)
+        result = CAMPAIGNS[key](**params, limit=DEFAULT_MAX_ENUM, workers=args.workers)
         # Reduction is expected to be mixed: some residues pass, some fail.
         passed = result.summary["mixed"] if key == "reduction" else result.passed
         ok &= passed
@@ -55,7 +55,7 @@ def main() -> int:
         print(f"{name:<34} {status}  ({time.perf_counter() - started:6.2f}s)  {summary}")
 
     print("\ncardinality comparison (recomputed):")
-    _emit_table(TABLES["table7"]({}, None, DEFAULT_MAX_ENUM), "text")
+    _emit_table(build_table("table7", {}, DEFAULT_MAX_ENUM), "text")
 
     print(f"\noverall: {'all campaigns passed' if ok else 'FAILURES above'}")
     return 0 if ok else 1

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from . import tables as tables_mod
@@ -50,47 +50,23 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the command plus everything that shapes output."""
-
-    command: str
-    params: dict
-    fmt: str = "text"
-    max_enum: int = DEFAULT_MAX_ENUM
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_enum < 1:
-            raise ValueError("--max-enum must be >= 1")
-        if self.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        name = self.params.get("map")
-        if name is not None:
-            naisargik_map(name)
-        if self.command in ("gen", "verify") and self.params.get("q") is not None:
-            check_digit_alphabet(self.params["q"])
-
-
-def _parse_int_range(text: str) -> tuple[int, ...]:
-    """'4' -> (4,); '2..6' -> (2, 3, 4, 5, 6)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = tuple(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return (int(text),)
+def _parse_int_range(text: str) -> range:
+    """'4' -> range(4, 5); '2..6' -> range(2, 7), never materialised."""
+    lo, dots, hi = text.partition("..")
+    values = range(int(lo), int(hi if dots else lo) + 1)
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def _parse_map_list(text: str) -> tuple[str, ...]:
     """'phi3' | 'phi1,phi4' | 'phi1..phi8' -> map names."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        i, j = int(lo.removeprefix("phi")), int(hi.removeprefix("phi"))
-        names = tuple(f"phi{k}" for k in range(i, j + 1))
+        names = tuple(f"phi{k}" for k in _parse_int_range(text.replace("phi", "")))
     else:
         names = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not names:
+        raise ValueError(f"empty map list {text!r}")
     for name in names:
         naisargik_map(name)
     return names
@@ -153,39 +129,55 @@ def _emit_campaign(result: CampaignResult, fmt: str) -> int:
     return 1
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    p = config.params
-    kind = p["kind"]
-    if kind == "vt-binary":
-        if p.get("a") is None:
-            raise ValueError("gen vt-binary needs --n and --a")
-        code = binary_vt_code(BinaryVtParams(p["n"], p["a"]), config.max_enum)
-    elif kind == "vt-qary":
-        if p.get("a") is None or p.get("b") is None:
-            raise ValueError("gen vt-qary needs --n, --q, --a and --b")
-        code = qary_vt_code(
-            QaryVtParams(p["n"], p.get("q") or 4, p["a"], p["b"]), config.max_enum
-        )
-    else:
-        if p.get("s") is None or p.get("a") is None:
-            raise ValueError("gen helberg needs --n, --q, --s and --a")
-        params = HelbergParams(p["n"], p.get("q") or 4, p["s"], p["a"])
-        code = helberg_code(params, config.max_enum)
+def _flags(args: argparse.Namespace, positional: str) -> dict:
+    """The flags given to a registry command, in parser order, without its positional."""
+    skip = ("command", "format", "max_enum", "workers", positional)
+    return {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+
+
+def _call(what: str, signature: inspect.Signature, entry: Callable, flags: dict, **context):
+    """Call ``entry`` with the given ``flags`` by keyword, after checking them.
+
+    A flag that ``signature`` does not take, or a required one that is
+    missing, raises ``ValueError`` (exit 2) naming the flag.  ``context``
+    (``limit``, ``workers``) goes to the entries whose signature names it.
+    """
+    kwargs = {**flags, **{k: v for k, v in context.items() if k in signature.parameters}}
+    try:
+        signature.bind(**kwargs)
+    except TypeError:
+        params = signature.parameters
+        stray = [k for k in flags if k not in params]
+        missing = [k for k, p in params.items() if p.default is p.empty and k not in kwargs]
+        problem = f"does not take --{stray[0]}" if stray else f"needs --{missing[0]}"
+        raise ValueError(f"{what} {problem.replace('_', '-')}") from None
+    return entry(**kwargs)
+
+
+#: Codebook generators by ``gen`` kind; each signature states its flags.
+GENERATORS: dict[str, Callable[..., frozenset]] = {
+    "vt-binary": lambda n, a, *, limit: binary_vt_code(BinaryVtParams(n, a), limit),
+    "vt-qary": lambda n, a, b, q=4, *, limit: qary_vt_code(QaryVtParams(n, q, a, b), limit),
+    "helberg": lambda n, s, a, q=4, *, limit: helberg_code(HelbergParams(n, q, s, a), limit),
+}
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    flags = _flags(args, "kind")
+    entry = GENERATORS[args.kind]
+    code = _call(f"gen {args.kind}", inspect.signature(entry), entry, flags, limit=args.max_enum)
     words = sorted(format_word(w) for w in code)
-    meta = {"command": "gen", "kind": kind}
-    meta.update({k: v for k, v in p.items() if k != "kind" and v is not None})
-    _emit_words(words, config.fmt, meta)
+    _emit_words(words, args.format, {"command": "gen", "kind": args.kind, **flags})
     return 0
 
 
-def _cmd_map(config: RunConfig) -> int:
-    p = config.params
-    smap = naisargik_map(p["map"])
-    forward = p["direction"] == "forward"
-    if p["words"]:
-        lines = list(p["words"])
-    elif p["input"] is not None:
-        with open(p["input"], encoding="ascii") as fh:
+def _cmd_map(args: argparse.Namespace) -> int:
+    smap = naisargik_map(args.map)
+    forward = args.direction == "forward"
+    if args.words:
+        lines = list(args.words)
+    elif args.input is not None:
+        with open(args.input, encoding="ascii") as fh:
             lines = [line.strip() for line in fh if line.strip()]
     else:
         lines = [line.strip() for line in sys.stdin if line.strip()]
@@ -195,20 +187,17 @@ def _cmd_map(config: RunConfig) -> int:
             out.append(format_word(smap.apply(parse_word(text, 4))))
         else:
             out.append(format_word(smap.invert(parse_word(text, 2))))
-    meta = {"command": "map", "map": smap.name, "direction": p["direction"]}
-    _emit_words(out, config.fmt, meta)
+    meta = {"command": "map", "map": smap.name, "direction": args.direction}
+    _emit_words(out, args.format, meta)
     return 0
 
 
-def _cmd_sphere(config: RunConfig) -> int:
-    p = config.params
-    q = p.get("q") or max(2, max((int(c) + 1 for c in p["word"]), default=2))
-    word = parse_word(p["word"], q)
-    members = sorted(
-        format_word(w) for w in sphere_members(word, p["s"], config.max_enum)
-    )
-    meta = {"command": "sphere", "word": p["word"], "s": p["s"]}
-    _emit_words(members, config.fmt, meta)
+def _cmd_sphere(args: argparse.Namespace) -> int:
+    q = args.q or max(2, max((int(c) + 1 for c in args.word), default=2))
+    word = parse_word(args.word, q)
+    members = sorted(format_word(w) for w in sphere_members(word, args.s, args.max_enum))
+    meta = {"command": "sphere", "word": args.word, "s": args.s}
+    _emit_words(members, args.format, meta)
     return 0
 
 
@@ -231,90 +220,74 @@ def _scan_campaign(n: int, names: tuple[str, ...], limit: int) -> CampaignResult
     )
 
 
-def _need(params: dict, key: str) -> int:
-    value = params.get(key)
-    if value is None:
-        raise ValueError(f"--{key.replace('_', '-')} is required for this campaign")
-    return value
+def _opt_map(name: str | None):
+    return None if name is None else naisargik_map(name)
 
 
-def _opt_map(params: dict):
-    name = params.get("map")
-    return naisargik_map(name) if name else None
-
-
-#: Campaign builders by name, each called as ``build(params, limit, workers)``.
-#: Every entry looks its function up at call time, so a module attribute
-#: replaced from outside (by a tracer, say) is the one that runs.
-CAMPAIGNS: dict[str, Callable[[dict, int, int], CampaignResult]] = {
-    "thm1": lambda p, limit, workers: verify_image_correction(
-        _need(p, "n"), _need(p, "s"), _opt_map(p), limit, workers
+#: Campaigns by ``verify`` key, each called by keyword with its flags plus
+#: ``limit`` and ``workers``.  Every entry looks its function up at call
+#: time, so a module attribute replaced from outside (by a tracer, say) is
+#: the one that runs.
+CAMPAIGNS: dict[str, Callable[..., CampaignResult]] = {
+    "thm1": lambda n, s, map=None, *, limit, workers: verify_image_correction(
+        n, s, _opt_map(map), limit, workers
     ),
-    "thm2": lambda p, limit, workers: verify_inverse_correction(
-        _need(p, "n"), _need(p, "s"), _opt_map(p), limit, workers
+    "thm2": lambda n, s, map=None, *, limit, workers: verify_inverse_correction(
+        n, s, _opt_map(map), limit, workers
     ),
-    "conj1": lambda p, limit, workers: _scan_campaign(
-        names=_parse_map_list(p["maps"]) if p.get("maps") else VT_MAP_NAMES,
-        n=_need(p, "n"),
-        limit=limit,
+    "conj1": lambda n, maps=None, *, limit, workers: _scan_campaign(
+        n, VT_MAP_NAMES if maps is None else _parse_map_list(maps), limit
     ),
-    "conj2": lambda p, limit, workers: verify_residue_bijection(_need(p, "n"), limit),
-    "reduction": lambda p, limit, workers: reduction_analysis(
-        _need(p, "n"), p.get("q") or 4, _need(p, "s"), p.get("check_s"), limit
+    "conj2": lambda n, *, limit, workers: verify_residue_bijection(n, limit),
+    "reduction": lambda n, s, q=4, check_s=None, *, limit, workers: reduction_analysis(
+        n, q, s, check_s, limit
     ),
-    "torsion": lambda p, limit, workers: torsion_analysis(
-        _need(p, "n"), p.get("q") or 4, _need(p, "s"), limit
-    ),
-    "vt1": lambda p, limit, workers: verify_vt_correction(
-        _need(p, "n"), p.get("q") or 2, limit, workers
-    ),
-    "helberg-self": lambda p, limit, workers: verify_helberg_self(
-        _need(p, "n"), p.get("q") or 4, _need(p, "s"), limit, workers
+    "torsion": lambda n, s, q=4, *, limit, workers: torsion_analysis(n, q, s, limit),
+    "vt1": lambda n, q=2, *, limit, workers: verify_vt_correction(n, q, limit, workers),
+    "helberg-self": lambda n, s, q=4, *, limit, workers: verify_helberg_self(
+        n, q, s, limit, workers
     ),
 }
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    build = CAMPAIGNS[config.params["campaign"]]
-    result = build(config.params, config.max_enum, config.workers)
-    return _emit_campaign(result, config.fmt)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    entry = CAMPAIGNS[args.campaign]
+    flags = _flags(args, "campaign")
+    limits = {"limit": args.max_enum, "workers": args.workers}
+    result = _call(f"verify {args.campaign}", inspect.signature(entry), entry, flags, **limits)
+    return _emit_campaign(result, args.format)
 
 
-#: Table builders by name, each called as ``build(params, n_values, limit)``
-#: where ``n_values`` is the parsed ``--n`` range or None.  Every entry looks
-#: its builder up on the tables module at call time, as ``CAMPAIGNS`` does.
-TABLES: dict[str, Callable[[dict, tuple[int, ...] | None, int], Table]] = {
-    "table2": lambda p, ns, limit: tables_mod.table2(limit=limit),
-    "table3": lambda p, ns, limit: tables_mod.table3(),
-    "table5": lambda p, ns, limit: tables_mod.table5(
-        (ns or (4,))[0], p.get("q") or 4, p.get("s") or 1, limit
-    ),
-    "table6": lambda p, ns, limit: tables_mod.table6(ns or (3, 4, 5, 6, 7), limit),
-    "table7": lambda p, ns, limit: tables_mod.table7(ns or (2, 3, 4, 5, 6), limit),
-    "table8": lambda p, ns, limit: (
-        tables_mod.table8(tuple((n, p["s"]) for n in ns), limit)
-        if ns and p.get("s")
-        else tables_mod.table8(limit=limit)
-    ),
-    "table9": lambda p, ns, limit: tables_mod.table9(
-        (ns or (10,))[0], p.get("s") or 2, p.get("a"), limit
-    ),
-    "table10": lambda p, ns, limit: tables_mod.table10(limit=limit),
-    "table11": lambda p, ns, limit: tables_mod.table11(limit=limit),
-    "table12": lambda p, ns, limit: tables_mod.table12(limit=limit),
-    "table13": lambda p, ns, limit: tables_mod.table13(limit=limit),
-    "table14": lambda p, ns, limit: tables_mod.table14(limit=limit),
-    "table15": lambda p, ns, limit: tables_mod.table15((ns or (4,))[0], p.get("q") or 4, limit),
-    "bounds": lambda p, ns, limit: tables_mod.bounds_table(
-        ns or (2, 3, 4, 5, 6), p.get("q") or 4, p.get("s") or 1
-    ),
+#: Table builders by ``tables`` name.  Their signatures are read here, once;
+#: ``build_table`` looks each builder up on the tables module by name at call
+#: time, so a wrapper installed there from outside (by a tracer, say) runs.
+TABLES: dict[str, Callable[..., Table]] = {
+    **{f"table{i}": getattr(tables_mod, f"table{i}") for i in (2, 3, *range(5, 16))},
+    "bounds": tables_mod.bounds_table,
 }
+_TABLE_SIGNATURES = {name: inspect.signature(build) for name, build in TABLES.items()}
 
 
-def _cmd_tables(config: RunConfig) -> int:
-    p = config.params
-    n_values = _parse_int_range(p["n"]) if p.get("n") else None
-    _emit_table(TABLES[p["which"]](p, n_values, config.max_enum), config.fmt)
+def build_table(name: str, flags: dict, limit: int) -> Table:
+    """Build table ``name`` from its ``tables`` flags (``--n`` as given text).
+
+    ``--n`` is a length or a range for builders that take ``n_values``, and a
+    single length for builders that take ``n``.
+    """
+    signature = _TABLE_SIGNATURES[name]
+    flags = dict(flags)
+    if "n" in flags and "n_values" in signature.parameters:
+        flags["n_values"] = _parse_int_range(flags.pop("n"))
+    elif "n" in flags and "n" in signature.parameters:
+        if ".." in flags["n"]:
+            raise ValueError(f"tables {name} takes one --n, not the range {flags['n']!r}")
+        flags["n"] = int(flags["n"])
+    builder = getattr(tables_mod, TABLES[name].__name__)
+    return _call(f"tables {name}", signature, builder, flags, limit=limit)
+
+
+def _cmd_tables(args: argparse.Namespace) -> int:
+    _emit_table(build_table(args.which, _flags(args, "which"), args.max_enum), args.format)
     return 0
 
 
@@ -342,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1, help="worker processes")
 
     g = sub.add_parser("gen", help="generate a codebook")
-    g.add_argument("kind", choices=("vt-binary", "vt-qary", "helberg"))
+    g.add_argument("kind", choices=GENERATORS)
     g.add_argument("--n", type=int, required=True, help="codeword length")
     g.add_argument("--q", type=int, help="alphabet size")
     g.add_argument("--s", type=int, help="deletion budget (helberg)")
@@ -394,22 +367,15 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "format", "max_enum", "workers")
-    }
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            params=params,
-            fmt=args.format,
-            max_enum=args.max_enum,
-            workers=args.workers,
-        )
-        return _DISPATCH[args.command](config)
+        if args.max_enum < 1:
+            raise ValueError("--max-enum must be >= 1")
+        if args.workers < 1:
+            raise ValueError("--workers must be >= 1")
+        if args.command in ("gen", "verify") and args.q is not None:
+            check_digit_alphabet(args.q)
+        return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

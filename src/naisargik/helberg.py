@@ -57,10 +57,14 @@ class WeightSequence:
         return self.values[i - 1]
 
 
-def weight_sequence(n: int, q: int, s: int) -> WeightSequence:
-    """Compute v_1..v_{n+1} by the defining recursion."""
+def _check_domain(n: int, q: int, s: int) -> None:
     if n < 1 or q < 2 or s < 1:
         raise ValueError(f"need n >= 1, q >= 2, s >= 1; got ({n}, {q}, {s})")
+
+
+def weight_sequence(n: int, q: int, s: int) -> WeightSequence:
+    """Compute v_1..v_{n+1} by the defining recursion."""
+    _check_domain(n, q, s)
     r = q - 1
     window = [0] * s
     values = []
@@ -264,8 +268,7 @@ def coefficient_lemma_report(n: int, q: int, s: int) -> CoefficientLemmaReport:
 
 def cardinality_lower_bound(n: int, q: int, s: int) -> Fraction:
     """Asymptotic lower bound ((s!)^2 q^(n+s) + s) / ((q-1)^(2s) 2^n 2^s)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_domain(n, q, s)
     return Fraction(
         factorial(s) ** 2 * q ** (n + s) + s, (q - 1) ** (2 * s) * 2**n * 2**s
     )
@@ -273,8 +276,7 @@ def cardinality_lower_bound(n: int, q: int, s: int) -> Fraction:
 
 def cardinality_upper_bound(n: int, q: int, s: int) -> Fraction:
     """Asymptotic upper bound s! q^n / ((q-1)^s n^s)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_domain(n, q, s)
     return Fraction(factorial(s) * q**n, (q - 1) ** s * n**s)
 
 

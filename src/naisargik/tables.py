@@ -9,18 +9,20 @@ saying the values are recomputed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .helberg import (
+    HelbergParams,
     cardinality_lower_bound,
     cardinality_upper_bound,
     helberg_census,
-    helberg_classes,
+    helberg_code,
 )
 from .maps import naisargik_map
 from .spheres import sphere_members
 from .verify import cardinality_comparison, phi9_image_classes, verify_residue_bijection
-from .vt import image_pair_diff, qary_vt_census, qary_vt_classes
+from .vt import QaryVtParams, image_pair_diff, qary_vt_census, qary_vt_code
 from .words import DEFAULT_MAX_ENUM, format_word, parse_word
 
 
@@ -53,7 +55,7 @@ def _sphere_cell(word, s: int) -> str:
 def table2(n: int = 4, a: int = 1, b: int = 2, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """Quaternary VT codebook beside its phi8 images."""
     smap = naisargik_map("phi8")
-    words = qary_vt_classes(n, 4, limit).get((a, b), ())
+    words = sorted(qary_vt_code(QaryVtParams(n, 4, a, b), limit))
     rows = tuple((format_word(w), format_word(smap.apply(w))) for w in words)
     return Table("table2", ("codeword", "image"), rows)
 
@@ -77,7 +79,7 @@ def table5(n: int = 4, q: int = 4, s: int = 1, limit: int = DEFAULT_MAX_ENUM) ->
     return Table("table5", ("residue", "count"), rows)
 
 
-def table6(n_values: tuple[int, ...] = (3, 4, 5, 6, 7), limit: int = DEFAULT_MAX_ENUM) -> Table:
+def table6(n_values: Iterable[int] = (3, 4, 5, 6, 7), limit: int = DEFAULT_MAX_ENUM) -> Table:
     """Maximum-cardinality residues and their binary image residues."""
     rows = []
     for n in n_values:
@@ -88,7 +90,7 @@ def table6(n_values: tuple[int, ...] = (3, 4, 5, 6, 7), limit: int = DEFAULT_MAX
     return Table("table6", ("n", "count", "residue", "image_residue"), tuple(rows))
 
 
-def table7(n_values: tuple[int, ...] = (2, 3, 4, 5, 6), limit: int = DEFAULT_MAX_ENUM) -> Table:
+def table7(n_values: Iterable[int] = (2, 3, 4, 5, 6), limit: int = DEFAULT_MAX_ENUM) -> Table:
     """Cardinality comparison with the bound columns evaluated exactly.
 
     The note column marks every row as recomputed: the bound columns come
@@ -114,10 +116,21 @@ def table7(n_values: tuple[int, ...] = (2, 3, 4, 5, 6), limit: int = DEFAULT_MAX
 
 
 def table8(
-    cells: tuple[tuple[int, int], ...] = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1), (7, 1)),
+    n_values: Iterable[int] | None = None,
+    s: int | None = None,
     limit: int = DEFAULT_MAX_ENUM,
 ) -> Table:
-    """Maximum codebook size and all achieving residues per (n, s)."""
+    """Maximum codebook size and all achieving residues per (n, s).
+
+    Without ``n_values`` and ``s`` the cells are those of the reference
+    table; given both, one cell per length at that ``s``.
+    """
+    if (n_values is None) != (s is None):
+        raise ValueError("table8 takes --n and --s together, or neither")
+    if n_values is None:
+        cells = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1), (7, 1))
+    else:
+        cells = ((n, s) for n in n_values)
     rows = []
     for n, s in cells:
         census = helberg_census(n, 4, s, limit)
@@ -128,24 +141,24 @@ def table8(
 
 
 def table9(
-    n_bits: int = 10, s: int = 2, a: int | None = None, limit: int = DEFAULT_MAX_ENUM
+    n: int = 10, s: int = 2, a: int | None = None, limit: int = DEFAULT_MAX_ENUM
 ) -> Table:
     """Binary Helberg codebook beside its phi9 inverse images.
 
-    Defaults to the maximum-cardinality residue when ``a`` is omitted.
+    Defaults to the smallest maximum-cardinality residue when ``a`` is omitted.
     """
     smap = naisargik_map("phi9")
-    _, classes = helberg_classes(n_bits, 2, s, limit)
     if a is None:
-        a = min(classes, key=lambda r: (-len(classes[r]), r))
-    rows = tuple(
-        (format_word(w), format_word(smap.invert(w))) for w in classes.get(a, ())
-    )
+        census = helberg_census(n, 2, s, limit)
+        a = census.residues_with(census.max_count())[0]
+    code = sorted(helberg_code(HelbergParams(n, 2, s, a), limit))
+    rows = tuple((format_word(w), format_word(smap.invert(w))) for w in code)
     return Table("table9", ("codeword", "image"), rows)
 
 
 def table10(n: int = 4, a: int = 40, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """phi9 images of one quaternary class against its binary class."""
+    HelbergParams(n, 4, 1, a)  # a residue outside Z_m is an error, not an empty table
     pairs, _, binary_class = phi9_image_classes(n, (a,), limit)[a]
     rows = tuple(
         (
@@ -170,21 +183,21 @@ def table12(n: int = 4, s: int = 1, a: int = 13, limit: int = DEFAULT_MAX_ENUM) 
     does not match its own mapping table, hence the note column.
     """
     smap = naisargik_map("phi9")
-    _, classes = helberg_classes(n, 4, s, limit)
+    code = sorted(helberg_code(HelbergParams(n, 4, s, a), limit))
     rows = tuple(
         (format_word(smap.apply(w)), _sphere_cell(smap.apply(w), s + 1), "recomputed")
-        for w in classes.get(a, ())
+        for w in code
     )
     return Table("table12", ("codeword", "sphere", "note"), rows)
 
 
 def table13(
-    n_bits: int = 10, s: int = 2, a: int = 66, limit: int = DEFAULT_MAX_ENUM
+    n: int = 10, s: int = 2, a: int = 66, limit: int = DEFAULT_MAX_ENUM
 ) -> Table:
     """1-deletion spheres of the phi9 inverse images of one binary codebook."""
     smap = naisargik_map("phi9")
-    _, classes = helberg_classes(n_bits, 2, s, limit)
-    inverse = sorted(smap.invert(w) for w in classes.get(a, ()))
+    code = helberg_code(HelbergParams(n, 2, s, a), limit)
+    inverse = sorted(smap.invert(w) for w in code)
     rows = tuple((format_word(w), _sphere_cell(w, 1)) for w in inverse)
     return Table("table13", ("codeword", "sphere"), rows)
 
@@ -194,7 +207,7 @@ def table14(
 ) -> Table:
     """1-deletion spheres of the phi8 images of one quaternary VT codebook."""
     smap = naisargik_map("phi8")
-    words = qary_vt_classes(n, 4, limit).get((a, b), ())
+    words = sorted(qary_vt_code(QaryVtParams(n, 4, a, b), limit))
     rows = tuple(
         (format_word(smap.apply(w)), _sphere_cell(smap.apply(w), 1)) for w in words
     )
@@ -210,14 +223,21 @@ def table15(n: int = 4, q: int = 4, limit: int = DEFAULT_MAX_ENUM) -> Table:
     return Table("table15", ("a", "b", "count"), rows)
 
 
-def bounds_table(n_values: tuple[int, ...], q: int, s: int) -> Table:
+def _approx(bound, n: int) -> str:
+    try:
+        return f"{float(bound):.6g}"
+    except OverflowError:
+        raise ValueError(f"the approximate bound column overflows a float at n = {n}") from None
+
+
+def bounds_table(n_values: Iterable[int] = (2, 3, 4, 5, 6), q: int = 4, s: int = 1) -> Table:
     """Formula-evaluated lower/upper cardinality bounds, exact and approximate."""
     rows = []
     for n in n_values:
         lo = cardinality_lower_bound(n, q, s)
         hi = cardinality_upper_bound(n, q, s)
         rows.append(
-            (str(n), str(q), str(s), str(lo), f"{float(lo):.6g}", str(hi), f"{float(hi):.6g}")
+            (str(n), str(q), str(s), str(lo), _approx(lo, n), str(hi), _approx(hi, n))
         )
     return Table(
         "bounds",

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from naisargik.cli import CAMPAIGNS, TABLES, main
+from naisargik import tables as tables_mod
 from naisargik.tables import Table
 from naisargik.verify import CampaignResult
 from golden import HELBERG_4_4_1_13_IMAGES, VT_1_2_IMAGES
@@ -188,6 +190,12 @@ class TestVerify:
         code, _ = run(capsys, "verify", "thm1", "--s", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("maps", ["phi3..phi1", ",", ""])
+    def test_empty_map_list_is_usage_error(self, capsys, maps):
+        code, out = run(capsys, "verify", "conj1", "--n", "3", "--maps", maps)
+        assert code == 2
+        assert out == ""
+
     def test_alphabet_beyond_digits_is_usage_error(self, capsys):
         code, out = run(capsys, "verify", "vt1", "--n", "2", "--q", "11")
         assert code == 2
@@ -239,6 +247,49 @@ class TestTables:
         assert code == 0
         assert [r[0] for r in rows[1:]] == ["2", "3", "4", "5", "6"]
         assert rows[1][3] == "65/72"
+
+    def test_bounds_beyond_float_range_is_usage_error(self, capsys):
+        assert main(["tables", "bounds", "--n", "1200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows a float at n = 1200" in captured.err
+
+    def test_bounds_rows_within_float_range_print(self, capsys):
+        # n = 517 is the last length whose upper bound fits a float.
+        code, out = run(capsys, "tables", "bounds", "--n", "517", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["upper_approx"] == "1.18687e+308"
+        assert run(capsys, "tables", "bounds", "--n", "517..518") == (2, "")
+
+    def test_range_is_not_materialised_before_the_guard(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out = run(
+                capsys, "tables", "table7", "--n", "1..2000000", "--max-enum", "1000"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table2", "--a", "9"),
+            ("table9", "--n", "8", "--s", "1", "--a", "99"),
+            ("table10", "--a", "999"),
+            ("table10", "--n", "3"),
+            ("table11", "--a", "-1"),
+            ("table12", "--a", "121"),
+            ("table13", "--a", "999"),
+            ("table14", "--a", "4"),
+        ],
+    )
+    def test_residue_out_of_range_is_usage_error(self, capsys, argv):
+        code, out = run(capsys, "tables", *argv)
+        assert code == 2
+        assert out == ""
 
     def test_census_guard_trips_exit_3(self, capsys):
         code, out = run(capsys, "tables", "table5", "--n", "9", "--max-enum", "1000")
@@ -342,9 +393,27 @@ def test_registry_entry_runs_alike_for_any_worker_count(capsys, argv, expected):
         assert par == seq
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "table3", "--n", "5"),
+        ("tables", "table5", "--n", "4..6"),
+        ("tables", "table8", "--s", "2"),
+        ("verify", "thm1", "--n", "3", "--s", "1", "--q", "2"),
+        ("verify", "conj2", "--n", "3", "--map", "phi1"),
+        ("gen", "vt-binary", "--n", "3", "--a", "0", "--s", "2"),
+    ],
+)
+def test_flag_an_entry_does_not_take_is_usage_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_registries_look_builders_up_at_call_time(capsys, monkeypatch):
     # A wrapper installed on the module after import must be the one that runs.
     calls = []
+    _, table7 = run(capsys, "tables", "table7", "--n", "2..3")
 
     def fake_campaign(*args):
         calls.append("campaign")
@@ -360,6 +429,17 @@ def test_registries_look_builders_up_at_call_time(capsys, monkeypatch):
     assert code == 0 and lines(out)[0] == "campaign: fake"
     assert run(capsys, "tables", "table3") == (0, "h\n")
     assert calls == ["campaign", "table"]
+
+    # A wrapper that hides the builder's signature, as a tracer's does.
+    original = tables_mod.table7
+
+    def opaque(*args, **kwargs):
+        calls.append("table7")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("naisargik.tables.table7", opaque)
+    assert run(capsys, "tables", "table7", "--n", "2..3") == (0, table7)
+    assert calls[-1] == "table7"
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"

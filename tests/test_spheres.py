@@ -128,6 +128,16 @@ def test_intersection_is_symmetric(word_q, data):
     assert shared == sphere_by_index_subsets(y, s) & sphere_by_index_subsets(x, s)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2), st.data())
+def test_report_ignores_codebook_order_and_duplicates(q, n, s, data):
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    code = data.draw(st.lists(word, max_size=8))
+    shuffled = data.draw(st.permutations(code + code[: len(code) // 2]))
+    s = min(s, n)
+    assert check_deletion_correcting(shuffled, s) == check_deletion_correcting(code, s)
+
+
 class TestCorrectionCheck:
     def test_singleton_passes_any_s(self):
         for s in range(4):
