@@ -17,7 +17,6 @@ from .helberg import (
     helberg_classes,
     helberg_code,
     moment,
-    modulus_from_definition,
     reduction_code,
     torsion_code,
     weight_sequence,
@@ -28,11 +27,8 @@ from .maps import (
     SymbolMap,
     all_bijections,
     naisargik_map,
-    phi8_symbol_from_bits,
-    phi9_bits_from_symbol,
-    phi9_symbol_from_bits,
 )
-from .spheres import CorrectionReport, check_deletion_correcting, sphere_members
+from .spheres import CorrectionReport, check_deletion_correcting, sphere_collisions, sphere_members
 from .verify import (
     CampaignCell,
     CampaignResult,
@@ -50,12 +46,10 @@ from .vt import (
     BinaryVtParams,
     EqualWeightScan,
     QaryVtParams,
-    binary_vt_classes,
     binary_vt_code,
     binary_vt_residue,
     equal_weight_scan,
     image_pair_diff,
-    phi8_signature_bit,
     qary_vt_census,
     qary_vt_classes,
     qary_vt_code,

@@ -53,22 +53,27 @@ from .words import (
 def _parse_int_range(text: str) -> range:
     """'4' -> range(4, 5); '2..6' -> range(2, 7), never materialised."""
     lo, dots, hi = text.partition("..")
-    values = range(int(lo), int(hi if dots else lo) + 1)
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--n takes a length or a range like 2..6, not {text!r}") from None
     if not values:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"--n has the empty range {text!r}")
     return values
 
 
 def _parse_map_list(text: str) -> tuple[str, ...]:
-    """'phi3' | 'phi1,phi4' | 'phi1..phi8' -> map names."""
+    """'phi3' | 'phi1,phi4' | 'phi1..phi8' -> map names, each checked as it is made."""
     if ".." in text:
-        names = tuple(f"phi{k}" for k in _parse_int_range(text.replace("phi", "")))
+        try:
+            names = (f"phi{k}" for k in _parse_int_range(text.replace("phi", "")))
+        except ValueError:
+            raise ValueError(f"--maps takes a range like phi1..phi8, not {text!r}") from None
     else:
-        names = tuple(part.strip() for part in text.split(",") if part.strip())
+        names = (part.strip() for part in text.split(",") if part.strip())
+    names = tuple(naisargik_map(name).name for name in names)
     if not names:
         raise ValueError(f"empty map list {text!r}")
-    for name in names:
-        naisargik_map(name)
     return names
 
 
@@ -193,7 +198,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
-    q = args.q or max(2, max((int(c) + 1 for c in args.word), default=2))
+    q = args.q if args.q is not None else max(2, max((int(c) + 1 for c in args.word), default=2))
     word = parse_word(args.word, q)
     members = sorted(format_word(w) for w in sphere_members(word, args.s, args.max_enum))
     meta = {"command": "sphere", "word": args.word, "s": args.s}
@@ -281,7 +286,7 @@ def build_table(name: str, flags: dict, limit: int) -> Table:
     elif "n" in flags and "n" in signature.parameters:
         if ".." in flags["n"]:
             raise ValueError(f"tables {name} takes one --n, not the range {flags['n']!r}")
-        flags["n"] = int(flags["n"])
+        flags["n"] = _parse_int_range(flags["n"])[0]
     builder = getattr(tables_mod, TABLES[name].__name__)
     return _call(f"tables {name}", signature, builder, flags, limit=limit)
 

@@ -75,12 +75,6 @@ def weight_sequence(n: int, q: int, s: int) -> WeightSequence:
     return WeightSequence(q=q, s=s, values=tuple(values))
 
 
-def modulus_from_definition(n: int, q: int, s: int) -> int:
-    """m written out directly: (q-1) * sum of the s top weights, plus one."""
-    w = weight_sequence(n, q, s)
-    return (q - 1) * sum(w.v(n - i) for i in range(s)) + 1
-
-
 @dataclass(frozen=True)
 class HelbergParams:
     """Parameters (n, q, s, a); the weights and modulus are derived."""

@@ -3,7 +3,7 @@
 There are 4! = 24 such bijections.  Nine of them, the Naisargik maps
 phi1..phi9, have special behaviour on VT and Helberg codebooks and are
 available by name.  phi8 is the classical Gray map; phi9 drives the Helberg
-results and additionally has closed-form coordinate formulas, as does phi8.
+results.
 """
 
 from __future__ import annotations
@@ -110,27 +110,3 @@ def all_bijections() -> tuple[SymbolMap, ...]:
         out.append(SymbolMap(name, table))
     return tuple(out)
 
-
-def phi8_symbol_from_bits(b1: int, b2: int) -> int:
-    """Closed form for the phi8 preimage of a bit pair: 3*b1 + b2 - 2*b1*b2."""
-    _check_bits(b1, b2)
-    return 3 * b1 + b2 - 2 * b1 * b2
-
-
-def phi9_symbol_from_bits(b1: int, b2: int) -> int:
-    """Closed form for the phi9 preimage of a bit pair: 3 - b1 - 2*b2."""
-    _check_bits(b1, b2)
-    return 3 - b1 - 2 * b2
-
-
-def phi9_bits_from_symbol(sym: int) -> BitPair:
-    """Closed form for the phi9 image of a symbol: ((x+1) mod 2, 1 - x//2)."""
-    if sym not in (0, 1, 2, 3):
-        raise ValueError(f"symbol {sym} not in Z_4")
-    return ((sym + 1) % 2, 1 - sym // 2)
-
-
-def _check_bits(*bits: int) -> None:
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bit {b} not in {{0, 1}}")

@@ -53,15 +53,35 @@ def sphere_members(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> frozens
     return frozenset(members)
 
 
+def sphere_collisions(
+    code: list[Word], s: int, cap: int = DEFAULT_SPHERE_CAP
+) -> dict[Word, list[Word]]:
+    """Each s-deletion sphere member shared by two or more words of ``code``,
+    mapped to its owners in ascending order.
+
+    ``code`` must be sorted and free of duplicates.  A member keeps only its
+    first owner until a second one arrives.
+    """
+    first: dict[Word, Word] = {}
+    shared: dict[Word, list[Word]] = {}
+    for word in code:
+        for member in sphere_members(word, s, cap):
+            other = first.setdefault(member, word)
+            if other != word:
+                shared.setdefault(member, [other]).append(word)
+    return shared
+
+
 def check_deletion_correcting(
     codewords: Iterable[Word], s: int, cap: int = DEFAULT_SPHERE_CAP
 ) -> CorrectionReport:
     """Decide whether a codebook corrects s deletions.
 
-    All codewords must share one length n >= s.  Every sphere member is
-    hashed to the codewords producing it; a bucket holding two codewords is
-    a violation.  The reported witness pair is the lexicographically first
-    violating pair, independent of iteration or bucketing order.
+    All codewords must share one length n >= s.  A sphere member shared by
+    two codewords is a violation.  The reported witness pair is the
+    lexicographically first violating pair, independent of iteration order:
+    it leads the owner list of each member it shares, since a smaller first
+    owner, or a word between the two, would make a smaller pair.
     """
     code = sorted(set(codewords))
     if code:
@@ -70,15 +90,6 @@ def check_deletion_correcting(
             raise ValueError("codebook must have a single word length")
         if s > n:
             raise ValueError(f"deletion count {s} exceeds word length {n}")
-    owners: dict[Word, Word] = {}
-    violating: set[tuple[Word, Word]] = set()
-    for word in code:
-        for member in sphere_members(word, s, cap):
-            other = owners.setdefault(member, word)
-            if other != word:
-                violating.add((other, word))
-    if not violating:
-        return CorrectionReport(ok=True)
-    x, y = min(violating)
-    shared = sphere_members(x, s, cap) & sphere_members(y, s, cap)
-    return CorrectionReport(ok=False, witness=(x, y, min(shared)))
+    shared = sphere_collisions(code, s, cap)
+    witness = min(((o[0], o[1], m) for m, o in shared.items()), default=None)
+    return CorrectionReport(ok=witness is None, witness=witness)

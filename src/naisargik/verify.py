@@ -26,7 +26,7 @@ from .helberg import (
 )
 from .maps import SymbolMap, naisargik_map
 from .spheres import CorrectionReport, check_deletion_correcting
-from .vt import binary_vt_classes, qary_vt_classes
+from .vt import qary_vt_classes
 from .words import DEFAULT_MAX_ENUM, Word, format_word
 
 
@@ -384,7 +384,9 @@ def verify_vt_correction(
     n: int, q: int = 2, limit: int = DEFAULT_MAX_ENUM, workers: int = 1
 ) -> CampaignResult:
     """Every VT residue class (binary or q-ary) corrects a single deletion."""
-    classes = binary_vt_classes(n, limit) if q == 2 else qary_vt_classes(n, q, limit)
+    # The binary VT code is the Helberg code with q = 2 and s = 1: its weights
+    # are 1..n and its modulus is n + 1.
+    classes = helberg_classes(n, 2, 1, limit)[1] if q == 2 else qary_vt_classes(n, q, limit)
     cells = _correction_cells(classes, 1, workers, min_size=1)
     return CampaignResult(
         campaign="vt-correction",

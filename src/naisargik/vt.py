@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .maps import SymbolMap
-from .spheres import check_deletion_correcting, sphere_members
+from .spheres import check_deletion_correcting, sphere_collisions, sphere_members
 from .words import (
     DEFAULT_MAX_ENUM,
     Word,
@@ -77,16 +77,6 @@ def binary_vt_code(
     return frozenset(
         w for w in iter_words(params.n, 2, limit) if binary_vt_residue(w) == params.a
     )
-
-
-def binary_vt_classes(n: int, limit: int) -> dict[int, tuple[Word, ...]]:
-    """Bucket all of Z_2^n by checksum in one scan; keys are 0..n in order."""
-    if n < 1:
-        raise ValueError("codeword length must be >= 1")
-    buckets: dict[int, list[Word]] = {a: [] for a in range(n + 1)}
-    for w in iter_words(n, 2, limit):
-        buckets[binary_vt_residue(w)].append(w)
-    return {a: tuple(ws) for a, ws in buckets.items()}
 
 
 def signature(word: Word) -> tuple[int, ...]:
@@ -168,23 +158,6 @@ def qary_vt_census(
     }
 
 
-def phi8_signature_bit(b1: int, b2: int, b3: int, b4: int) -> int:
-    """Signature bit of two consecutive phi8-mapped symbols, from their bits.
-
-    Evaluates the boolean polynomial equivalent to
-    phi8^-1(b1 b2) <= phi8^-1(b3 b4).
-    """
-    for b in (b1, b2, b3, b4):
-        if b not in (0, 1):
-            raise ValueError(f"bit {b} not in {{0, 1}}")
-    return (
-        (1 - b1) * (1 - b2)
-        + (1 - b1) * b2 * (1 - b3) * b4
-        + b2 * b3
-        + b1 * (1 - b2) * b3 * (1 - b4)
-    )
-
-
 def image_pair_diff(
     x_bits: Word, y_bits: Word, smap: SymbolMap
 ) -> tuple[int, int]:
@@ -221,26 +194,15 @@ class EqualWeightScan:
     counterexample: tuple[Word, Word] | None = None
 
 
-def _image_buckets(words: tuple[Word, ...], smap: SymbolMap) -> dict[Word, list[Word]]:
-    """Hash every 1-deletion sphere member to the images producing it."""
-    buckets: dict[Word, list[Word]] = {}
-    for w in words:
-        img = smap.apply(w)
-        for member in sphere_members(img, 1):
-            buckets.setdefault(member, []).append(img)
-    return buckets
-
-
 def _scan_map(
     n: int, classes: dict[tuple[int, int], tuple[Word, ...]], smap: SymbolMap
 ) -> EqualWeightScan:
     pairs: set[tuple[Word, Word]] = set()
     bad: list[tuple[Word, Word]] = []
     for words in classes.values():
-        for members in _image_buckets(words, smap).values():
-            if len(members) < 2:
-                continue
-            for x, y in itertools.combinations(sorted(members), 2):
+        images = sorted(smap.apply(w) for w in words)
+        for owners in sphere_collisions(images, 1).values():
+            for x, y in itertools.combinations(owners, 2):
                 pairs.add((x, y))
                 if sum(x) != sum(y):
                     bad.append((x, y))

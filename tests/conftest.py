@@ -8,6 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
+from naisargik import weight_sequence
+
 
 def sphere_by_index_subsets(word, s):
     """Independent sphere oracle: drop every s-subset of positions, dedup."""
@@ -33,6 +35,52 @@ def least_colliding_pair(words, s):
     return None
 
 
+def _check_bits(*bits):
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bit {b} not in {{0, 1}}")
+
+
+def phi8_symbol_from_bits(b1, b2):
+    """Closed form for the phi8 preimage of a bit pair: 3*b1 + b2 - 2*b1*b2."""
+    _check_bits(b1, b2)
+    return 3 * b1 + b2 - 2 * b1 * b2
+
+
+def phi9_symbol_from_bits(b1, b2):
+    """Closed form for the phi9 preimage of a bit pair: 3 - b1 - 2*b2."""
+    _check_bits(b1, b2)
+    return 3 - b1 - 2 * b2
+
+
+def phi9_bits_from_symbol(sym):
+    """Closed form for the phi9 image of a symbol: ((x+1) mod 2, 1 - x//2)."""
+    if sym not in (0, 1, 2, 3):
+        raise ValueError(f"symbol {sym} not in Z_4")
+    return ((sym + 1) % 2, 1 - sym // 2)
+
+
+def phi8_signature_bit(b1, b2, b3, b4):
+    """Signature bit of two consecutive phi8-mapped symbols, from their bits.
+
+    Evaluates the boolean polynomial equivalent to
+    phi8^-1(b1 b2) <= phi8^-1(b3 b4).
+    """
+    _check_bits(b1, b2, b3, b4)
+    return (
+        (1 - b1) * (1 - b2)
+        + (1 - b1) * b2 * (1 - b3) * b4
+        + b2 * b3
+        + b1 * (1 - b2) * b3 * (1 - b4)
+    )
+
+
+def modulus_from_definition(n, q, s):
+    """m written out directly: (q-1) * sum of the s top weights, plus one."""
+    w = weight_sequence(n, q, s)
+    return (q - 1) * sum(w.v(n - i) for i in range(s)) + 1
+
+
 #: Largest word space the enumeration oracle visits.
 ORACLE_MAX_WORDS = 4**7
 
@@ -50,6 +98,16 @@ def oracle_grids(max_q=4):
     def lengths(q):
         top = max(n for n in range(1, 20) if q**n <= ORACLE_MAX_WORDS)
         return st.tuples(st.integers(min_value=1, max_value=top), st.just(q))
+
+    return st.integers(min_value=2, max_value=max_q).flatmap(lengths)
+
+
+def grids_beyond_oracle(max_q=5, max_words=2**20):
+    """Random (n, q) with 2 <= q <= max_q and q^n past the oracle's reach."""
+
+    def lengths(q):
+        ns = [n for n in range(1, 40) if ORACLE_MAX_WORDS < q**n <= max_words]
+        return st.tuples(st.sampled_from(ns), st.just(q))
 
     return st.integers(min_value=2, max_value=max_q).flatmap(lengths)
 

@@ -29,10 +29,6 @@ from naisargik import (
     image_pair_diff,
     naisargik_map,
     parse_word,
-    phi8_signature_bit,
-    phi8_symbol_from_bits,
-    phi9_bits_from_symbol,
-    phi9_symbol_from_bits,
     qary_vt_census,
     qary_vt_classes,
     qary_vt_code,
@@ -45,7 +41,13 @@ from naisargik import (
     weight_sequence,
 )
 from naisargik.cli import main as cli_main
-from conftest import sphere_by_index_subsets
+from conftest import (
+    phi8_signature_bit,
+    phi8_symbol_from_bits,
+    phi9_bits_from_symbol,
+    phi9_symbol_from_bits,
+    sphere_by_index_subsets,
+)
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
     HELBERG_4_4_1_40_IMAGES,

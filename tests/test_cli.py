@@ -130,6 +130,10 @@ class TestSphere:
         code, _ = run(capsys, "sphere", "101", "--s", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_alphabet_below_two_is_usage_error(self, capsys, q):
+        assert run(capsys, "sphere", "0110", "--s", "1", "--q", q) == (2, "")
+
 
 class TestVerify:
     def test_thm1(self, capsys):
@@ -195,6 +199,16 @@ class TestVerify:
         code, out = run(capsys, "verify", "conj1", "--n", "3", "--maps", maps)
         assert code == 2
         assert out == ""
+
+    def test_unknown_map_in_a_long_range_stops_before_building_it(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, "verify", "conj1", "--n", "3", "--maps", "phi1..phi1000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert peak < 1_000_000
 
     def test_alphabet_beyond_digits_is_usage_error(self, capsys):
         code, out = run(capsys, "verify", "vt1", "--n", "2", "--q", "11")
@@ -290,6 +304,23 @@ class TestTables:
         code, out = run(capsys, "tables", *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("tables", "table7", "--n", "1.."), "--n"),
+            (("tables", "table7", "--n", "x"), "--n"),
+            (("tables", "table7", "--n", "3..1"), "--n"),
+            (("tables", "table5", "--n", "x"), "--n"),
+            (("verify", "conj1", "--n", "3", "--maps", "phi3..phi1"), "--maps"),
+            (("verify", "conj1", "--n", "3", "--maps", "phiX..phi2"), "--maps"),
+        ],
+    )
+    def test_malformed_range_names_its_flag(self, capsys, argv, flag):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err and "int()" not in captured.err
 
     def test_census_guard_trips_exit_3(self, capsys):
         code, out = run(capsys, "tables", "table5", "--n", "9", "--max-enum", "1000")

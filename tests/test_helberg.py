@@ -17,13 +17,18 @@ from naisargik import (
     helberg_classes,
     helberg_code,
     moment,
-    modulus_from_definition,
     parse_word,
+    qary_vt_census,
     reduction_code,
     torsion_code,
     weight_sequence,
 )
-from conftest import enumerated_census, oracle_grids
+from conftest import (
+    enumerated_census,
+    grids_beyond_oracle,
+    modulus_from_definition,
+    oracle_grids,
+)
 
 
 class TestWeightSequence:
@@ -215,16 +220,16 @@ def test_census_partitions_the_space(grid, s):
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=8, max_value=10),
-    st.sampled_from([2, 3, 4]),
-    st.integers(min_value=1, max_value=3),
-)
-def test_census_counts_beyond_enumeration(n, q, s):
+@given(grids_beyond_oracle(), st.integers(min_value=1, max_value=3))
+def test_census_counts_beyond_enumeration(grid, s):
+    n, q = grid
     census = helberg_census(n, q, s)
     assert sum(census.counts.values()) == q**n
     assert list(census.counts) == sorted(census.counts)
     assert all(0 <= a < census.m and c > 0 for a, c in census.counts.items())
+    vt = qary_vt_census(n, q)
+    assert sum(vt.values()) == q**n
+    assert min(vt.values()) >= 0
 
 
 def test_census_guard_trips_before_counting():

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naisargik import ResourceLimitError, check_deletion_correcting, sphere_members
+from naisargik import (
+    ResourceLimitError,
+    check_deletion_correcting,
+    sphere_collisions,
+    sphere_members,
+)
 from conftest import sphere_by_index_subsets, words_strategy
 
 
@@ -136,6 +141,20 @@ def test_report_ignores_codebook_order_and_duplicates(q, n, s, data):
     shuffled = data.draw(st.permutations(code + code[: len(code) // 2]))
     s = min(s, n)
     assert check_deletion_correcting(shuffled, s) == check_deletion_correcting(code, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2), st.data())
+def test_collisions_match_brute_force(q, n, s, data):
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    code = sorted(set(data.draw(st.lists(word, max_size=8))))
+    s = min(s, n)
+    owners = {}
+    for w in code:
+        for member in sphere_by_index_subsets(w, s):
+            owners.setdefault(member, []).append(w)
+    shared = {member: ws for member, ws in owners.items() if len(ws) >= 2}
+    assert sphere_collisions(code, s) == shared
 
 
 class TestCorrectionCheck:

@@ -9,14 +9,13 @@ from naisargik import (
     QaryVtParams,
     ResourceLimitError,
     all_bijections,
-    binary_vt_classes,
     binary_vt_code,
     binary_vt_residue,
     equal_weight_scan,
+    helberg_classes,
     image_pair_diff,
     naisargik_map,
     parse_word,
-    phi8_signature_bit,
     qary_vt_census,
     qary_vt_code,
     qary_vt_residues,
@@ -24,7 +23,12 @@ from naisargik import (
     signature,
     sphere_members,
 )
-from conftest import all_words, enumerated_census, least_colliding_pair
+from conftest import (
+    all_words,
+    enumerated_census,
+    least_colliding_pair,
+    phi8_signature_bit,
+)
 from golden import RESIDUE_DIFF_ROWS, VT_1_2_IMAGES, VT_4_4_CENSUS
 
 
@@ -51,20 +55,25 @@ def test_binary_partition(n):
     assert total == 2**n
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_binary_classes_match_codes(n):
-    classes = binary_vt_classes(n, 2**n)
+    # The binary VT classes are the Helberg classes with q = 2 and s = 1.
+    checksum = {}
+    for w in all_words(n, 2):
+        a = sum(i * bit for i, bit in enumerate(w, start=1)) % (n + 1)
+        checksum.setdefault(a, []).append(w)
+    m, classes = helberg_classes(n, 2, 1)
+    assert m == n + 1
     assert list(classes) == list(range(n + 1))
-    for a, words in classes.items():
-        assert words == tuple(sorted(binary_vt_code(BinaryVtParams(n, a))))
+    assert classes == {a: tuple(ws) for a, ws in checksum.items()}
 
 
 def test_binary_classes_guards():
     for n in (0, -1):
         with pytest.raises(ValueError):
-            binary_vt_classes(n, 1000)
+            helberg_classes(n, 2, 1, 1000)
     with pytest.raises(ResourceLimitError):
-        binary_vt_classes(12, 1000)
+        helberg_classes(12, 2, 1, 1000)
 
 
 def test_params_validation():
