@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .maps import SymbolMap
-from .spheres import check_deletion_correcting, sphere_collisions, sphere_members
+from .spheres import sphere_collisions
 from .words import (
     DEFAULT_MAX_ENUM,
     Word,
@@ -242,8 +242,9 @@ def same_residue_witness(
     pairwise disjoint spheres.
     """
     for words in qary_vt_classes(n, 4, limit).values():
-        report = check_deletion_correcting([smap.apply(w) for w in words], 1)
-        if not report.ok:
-            x, y, _ = report.witness
-            return x, y, sphere_members(x, 1) & sphere_members(y, 1)
+        shared = sphere_collisions(sorted(smap.apply(w) for w in words), 1)
+        if shared:
+            x, y = min(owners[:2] for owners in shared.values())
+            both = frozenset(m for m, owners in shared.items() if x in owners and y in owners)
+            return x, y, both
     return None

@@ -64,6 +64,8 @@ def test_sphere_full_deletion_is_the_empty_word():
 def test_sphere_rejects_out_of_range_s(s):
     with pytest.raises(ValueError):
         sphere_members((0, 1, 0), s)
+    with pytest.raises(ValueError):
+        check_deletion_correcting([(0, 1, 0), (1, 1, 0)], s)
 
 
 def test_sphere_cap_guard():
@@ -71,8 +73,27 @@ def test_sphere_cap_guard():
         sphere_members(tuple(range(2)) * 30, 30, cap=1000)
 
 
+def test_sphere_collisions_member_cap():
+    # Every word of Z_2^6 passes the per-word guard, C(6, 1) = 6 <= 10, but
+    # their 1-deletion spheres hold 32 distinct members in all.
+    code = list(itertools.product(range(2), repeat=6))
+    with pytest.raises(ResourceLimitError, match="cap 10"):
+        sphere_collisions(code, 1, cap=10)
+    assert sphere_collisions(code, 1, cap=32)
+
+
+def test_sphere_rejects_symbols_beyond_a_byte():
+    with pytest.raises(ValueError, match="not 256"):
+        sphere_members((0, 256, 1), 1)
+    with pytest.raises(ValueError, match="not -1"):
+        sphere_members((0, -1), 0)
+    # Every word of a codebook is checked, not only the first.
+    with pytest.raises(ValueError, match="not 300"):
+        sphere_collisions([(0, 1, 2), (0, 300, 2)], 1)
+
+
 def test_oracle_equivalence_exhaustive_small():
-    for q in (2, 3):
+    for q in (2, 3, 4):
         for n in range(0, 7):
             for word in itertools.product(range(q), repeat=n):
                 for s in range(0, min(n, 3) + 1):
@@ -144,7 +165,7 @@ def test_report_ignores_codebook_order_and_duplicates(q, n, s, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2), st.data())
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 3), st.data())
 def test_collisions_match_brute_force(q, n, s, data):
     word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
     code = sorted(set(data.draw(st.lists(word, max_size=8))))
