@@ -32,8 +32,6 @@ from .spheres import CorrectionReport, check_deletion_correcting, sphere_collisi
 from .verify import (
     CampaignCell,
     CampaignResult,
-    CardinalityRow,
-    cardinality_comparison,
     reduction_analysis,
     torsion_analysis,
     verify_helberg_self,

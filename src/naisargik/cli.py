@@ -198,8 +198,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
-    q = args.q if args.q is not None else max(2, max((int(c) + 1 for c in args.word), default=2))
-    word = parse_word(args.word, q)
+    # Without --q any digit string is a word: the sphere needs no alphabet.
+    word = parse_word(args.word, 10 if args.q is None else args.q)
     members = sorted(format_word(w) for w in sphere_members(word, args.s, args.max_enum))
     meta = {"command": "sphere", "word": args.word, "s": args.s}
     _emit_words(members, args.format, meta)
@@ -245,9 +245,9 @@ CAMPAIGNS: dict[str, Callable[..., CampaignResult]] = {
     ),
     "conj2": lambda n, *, limit, workers: verify_residue_bijection(n, limit),
     "reduction": lambda n, s, q=4, check_s=None, *, limit, workers: reduction_analysis(
-        n, q, s, check_s, limit
+        n, q, s, check_s, limit, workers
     ),
-    "torsion": lambda n, s, q=4, *, limit, workers: torsion_analysis(n, q, s, limit),
+    "torsion": lambda n, s, q=4, *, limit, workers: torsion_analysis(n, q, s, limit, workers),
     "vt1": lambda n, q=2, *, limit, workers: verify_vt_correction(n, q, limit, workers),
     "helberg-self": lambda n, s, q=4, *, limit, workers: verify_helberg_self(
         n, q, s, limit, workers

@@ -1,23 +1,20 @@
 """Cross-cutting verification campaigns over maps, spheres, and codebooks.
 
 Each campaign sweeps a parameter grid (usually the residues of one codebook
-family), runs an exhaustive sphere check per cell, and aggregates verdicts
-into a CampaignResult that serializes to JSON.  Cells are independent, so a
-campaign may fan residues out across worker processes; results are merged in
-residue order, making output identical for every worker count.
+family), runs one cell per grid point (mostly an exhaustive sphere check),
+and aggregates verdicts into a CampaignResult that serializes to JSON.  The
+class campaigns share one runner, ``_correction_cells``; its cells are
+independent, so it may fan residues out across worker processes and merges
+results in residue order, making output identical for every worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .helberg import (
-    cardinality_lower_bound,
-    cardinality_upper_bound,
-    helberg_census,
     helberg_classes,
     moment,
     reduction_code,
@@ -92,6 +89,35 @@ def _correction_cell(args: tuple) -> CampaignCell:
     )
 
 
+def _reduction_cell(args: tuple) -> CampaignCell:
+    label, codewords, check_s = args
+    red = reduction_code(frozenset(codewords))
+    report = check_deletion_correcting(red, check_s)
+    return CampaignCell(
+        label=label,
+        passed=report.ok,
+        detail={
+            "codewords": len(codewords),
+            "reduced": len(red),
+            **_witness_detail(report),
+        },
+    )
+
+
+def _torsion_cell(args: tuple) -> CampaignCell:
+    label, codewords, _ = args
+    tor = torsion_code(frozenset(codewords))
+    return CampaignCell(
+        label=label,
+        passed=len(tor) <= 1,
+        detail={
+            "codewords": len(codewords),
+            "torsion_size": len(tor),
+            "torsion": sorted(format_word(w) for w in tor),
+        },
+    )
+
+
 def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
     """Worker processes worth starting: no more than the cells or the CPUs."""
     return min(requested, cells, cpus or 1)
@@ -111,16 +137,17 @@ def _run_cells(
 
 def _correction_cells(
     classes: dict[int | tuple[int, int], tuple[Word, ...]],
-    check_s: int,
+    cell: Callable[[tuple], CampaignCell],
+    check_s: int | None,
     workers: int,
     transform: Callable[[Word], Word] | None = None,
     min_size: int = 2,
 ) -> tuple[CampaignCell, ...]:
-    """Decide every class of at least ``min_size`` words at ``check_s`` deletions.
+    """Run ``cell`` on ``(label, words, check_s)`` for each class of ``min_size`` words or more.
 
     Smaller classes are trivial: they get no cell, so a campaign tallies them
     as its residues minus its cells.  ``transform`` maps each codeword before
-    the check.  A class keyed by a residue pair is labelled ``a=..,b=..``.
+    the cell sees it.  A class keyed by a residue pair is labelled ``a=..,b=..``.
     """
     inputs = [
         (
@@ -131,7 +158,7 @@ def _correction_cells(
         for key, ws in classes.items()
         if len(ws) >= min_size
     ]
-    return tuple(_run_cells(inputs, _correction_cell, workers))
+    return tuple(_run_cells(inputs, cell, workers))
 
 
 def _class_summary(m: int, classes: dict[int, tuple[Word, ...]], cells: tuple) -> dict:
@@ -161,7 +188,7 @@ def verify_image_correction(
     """
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n, 4, s, limit)
-    cells = _correction_cells(classes, s + 1, workers, smap.apply)
+    cells = _correction_cells(classes, _correction_cell, s + 1, workers, smap.apply)
     return CampaignResult(
         campaign="image-correction",
         params={"n": n, "q": 4, "s": s, "check_s": s + 1, "map": smap.name},
@@ -185,7 +212,7 @@ def verify_inverse_correction(
         raise ValueError("binary length must be even to invert the map")
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n_bits, 2, s, limit)
-    cells = _correction_cells(classes, s // 2, workers, smap.invert)
+    cells = _correction_cells(classes, _correction_cell, s // 2, workers, smap.invert)
     return CampaignResult(
         campaign="inverse-correction",
         params={"n": n_bits, "q": 2, "s": s, "check_s": s // 2, "map": smap.name},
@@ -270,43 +297,13 @@ def verify_residue_bijection(
     )
 
 
-@dataclass(frozen=True)
-class CardinalityRow:
-    """One comparison row: bounds vs the two recomputed maximum codebook sizes."""
-
-    n: int
-    lower: Fraction
-    upper: Fraction
-    max_binary: int
-    max_image: int
-
-
-def cardinality_comparison(
-    n_values: Iterable[int], limit: int = DEFAULT_MAX_ENUM
-) -> tuple[CardinalityRow, ...]:
-    """Bounds L_n(4,1)/U_n(4,1) beside max |H(2n,2,2,.)| and max |phi9(H(n,4,1,.))|."""
-    rows = []
-    for n in n_values:
-        max_binary = helberg_census(2 * n, 2, 2, limit).max_count()
-        max_image = helberg_census(n, 4, 1, limit).max_count()
-        rows.append(
-            CardinalityRow(
-                n=n,
-                lower=cardinality_lower_bound(n, 4, 1),
-                upper=cardinality_upper_bound(n, 4, 1),
-                max_binary=max_binary,
-                max_image=max_image,
-            )
-        )
-    return tuple(rows)
-
-
 def reduction_analysis(
     n: int,
     q: int,
     s: int,
     check_s: int | None = None,
     limit: int = DEFAULT_MAX_ENUM,
+    workers: int = 1,
 ) -> CampaignResult:
     """Per-residue sphere disjointness of componentwise mod-2 reductions.
 
@@ -316,21 +313,7 @@ def reduction_analysis(
     """
     check = s if check_s is None else check_s
     m, classes = helberg_classes(n, q, s, limit)
-    cells = []
-    for a, ws in classes.items():
-        red = reduction_code(frozenset(ws))
-        report = check_deletion_correcting(red, check)
-        cells.append(
-            CampaignCell(
-                label=f"a={a}",
-                passed=report.ok,
-                detail={
-                    "codewords": len(ws),
-                    "reduced": len(red),
-                    **_witness_detail(report),
-                },
-            )
-        )
+    cells = _correction_cells(classes, _reduction_cell, check, workers, min_size=1)
     passing = sum(1 for c in cells if c.passed)
     summary = {
         "modulus": m,
@@ -342,13 +325,13 @@ def reduction_analysis(
     return CampaignResult(
         campaign="reduction",
         params={"n": n, "q": q, "s": s, "check_s": check},
-        cells=tuple(cells),
+        cells=cells,
         summary=summary,
     )
 
 
 def torsion_analysis(
-    n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM
+    n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM, workers: int = 1
 ) -> CampaignResult:
     """Torsion codes of every residue class; nontrivial ones fail their cell.
 
@@ -356,26 +339,13 @@ def torsion_analysis(
     that no residue carries a nontrivial torsion code.
     """
     m, classes = helberg_classes(n, q, s, limit)
-    cells = []
-    for a, ws in classes.items():
-        tor = torsion_code(frozenset(ws))
-        cells.append(
-            CampaignCell(
-                label=f"a={a}",
-                passed=len(tor) <= 1,
-                detail={
-                    "codewords": len(ws),
-                    "torsion_size": len(tor),
-                    "torsion": sorted(format_word(w) for w in tor),
-                },
-            )
-        )
+    cells = _correction_cells(classes, _torsion_cell, None, workers, min_size=1)
     sizes = sorted({c.detail["torsion_size"] for c in cells})
     summary = {"modulus": m, "torsion_sizes_seen": sizes}
     return CampaignResult(
         campaign="torsion",
         params={"n": n, "q": q, "s": s},
-        cells=tuple(cells),
+        cells=cells,
         summary=summary,
     )
 
@@ -387,7 +357,7 @@ def verify_vt_correction(
     # The binary VT code is the Helberg code with q = 2 and s = 1: its weights
     # are 1..n and its modulus is n + 1.
     classes = helberg_classes(n, 2, 1, limit)[1] if q == 2 else qary_vt_classes(n, q, limit)
-    cells = _correction_cells(classes, 1, workers, min_size=1)
+    cells = _correction_cells(classes, _correction_cell, 1, workers, min_size=1)
     return CampaignResult(
         campaign="vt-correction",
         params={"n": n, "q": q, "s": 1},
@@ -401,7 +371,7 @@ def verify_helberg_self(
 ) -> CampaignResult:
     """Every Helberg codebook corrects its own deletion budget s."""
     m, classes = helberg_classes(n, q, s, limit)
-    cells = _correction_cells(classes, s, workers)
+    cells = _correction_cells(classes, _correction_cell, s, workers)
     return CampaignResult(
         campaign="helberg-self",
         params={"n": n, "q": q, "s": s},

@@ -134,6 +134,15 @@ class TestSphere:
     def test_alphabet_below_two_is_usage_error(self, capsys, q):
         assert run(capsys, "sphere", "0110", "--s", "1", "--q", q) == (2, "")
 
+    def test_non_digit_word_is_usage_error(self, capsys):
+        assert main(["sphere", "01x", "--s", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: not a digit string: '01x'\n")
+
+    def test_max_enum_caps_index_subsets(self, capsys):
+        # C(4, 2) = 6 index subsets against a cap of 5.
+        assert run(capsys, "sphere", "0101", "--s", "2", "--max-enum", "5") == (3, "")
+        assert run(capsys, "sphere", "0101", "--s", "2", "--max-enum", "6")[0] == 0
+
 
 class TestVerify:
     def test_thm1(self, capsys):

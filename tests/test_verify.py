@@ -1,11 +1,12 @@
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from naisargik import (
     HelbergParams,
-    cardinality_comparison,
     format_word,
     helberg_code,
     moment,
@@ -21,6 +22,7 @@ from naisargik import (
     weight_sequence,
 )
 from naisargik import tables as tables_mod
+from naisargik import verify as verify_mod
 from naisargik.verify import effective_workers
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
@@ -153,13 +155,13 @@ def test_image_tables_match_codes_built_by_definition(name, kwargs, n, a):
 
 
 def test_cardinality_comparison_recomputed():
-    rows = cardinality_comparison(range(2, 7))
-    observed = [(r.max_binary, r.max_image) for r in rows]
+    table = tables_mod.table7(range(2, 7))
+    observed = [(int(r[3]), int(r[4])) for r in table.rows]
     assert observed == [(2, 2), (3, 3), (5, 5), (8, 7), (11, 11)]
-    by_n = {r.n: r for r in rows}
-    assert by_n[2].lower == Fraction(65, 72)
-    assert by_n[4].upper == Fraction(64, 3)
-    assert float(by_n[4].upper) == pytest.approx(64 / 3, rel=1e-12)
+    by_n = {int(r[0]): r for r in table.rows}
+    assert Fraction(by_n[2][1]) == Fraction(65, 72)
+    assert Fraction(by_n[4][2]) == Fraction(64, 3)
+    assert float(Fraction(by_n[4][2])) == pytest.approx(64 / 3, rel=1e-12)
 
 
 def test_reduction_analysis_mixed_pattern():
@@ -191,6 +193,27 @@ def test_torsion_analysis_finds_the_zero_word():
     result = torsion_analysis(5, 4, 1)
     by_label = {cell.label: cell for cell in result.cells}
     assert by_label["a=0"].detail["torsion"] == ["00000"]
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda workers: reduction_analysis(4, 4, 1, check_s=2, workers=workers),
+        lambda workers: torsion_analysis(5, 4, 1, workers=workers),
+    ],
+    ids=["reduction", "torsion"],
+)
+def test_class_analyses_match_across_workers(monkeypatch, campaign):
+    # Two CPUs, so workers=2 really starts a pool, whatever the host has.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = []
+    monkeypatch.setattr(
+        verify_mod,
+        "ProcessPoolExecutor",
+        lambda max_workers: pools.append(max_workers) or ProcessPoolExecutor(max_workers),
+    )
+    assert campaign(2).to_dict() == campaign(1).to_dict()
+    assert pools == [2]
 
 
 def test_vt_correction_binary():
