@@ -31,8 +31,8 @@ def grid(fast: bool) -> list[tuple[str, dict]]:
         *(("thm2", {"n": nb, "s": s}) for nb in range(2, inverse_n + 1, 2) for s in (2, 3, 4)),
         *(("conj1", {"n": n}) for n in range(2, scan_n + 1)),
         *(("conj2", {"n": n}) for n in range(3, 8)),
-        ("reduction", {"n": 4, "q": 4, "s": 1, "check_s": 2}),
-        *(("torsion", {"n": n, "q": 4, "s": s}) for n in range(1, 6) for s in (1, 2)),
+        ("reduction", {"n": 4, "s": 1, "check_s": 2}),
+        *(("torsion", {"n": n, "s": s}) for n in range(1, 6) for s in (1, 2)),
     ]
 
 

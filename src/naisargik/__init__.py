@@ -7,7 +7,6 @@ deletion-correction claims exhaustively through deletion spheres.
 
 from .helberg import (
     CodebookCensus,
-    HelbergParams,
     WeightSequence,
     cardinality_lower_bound,
     cardinality_upper_bound,
@@ -41,9 +40,7 @@ from .verify import (
     verify_vt_correction,
 )
 from .vt import (
-    BinaryVtParams,
     EqualWeightScan,
-    QaryVtParams,
     binary_vt_code,
     binary_vt_residue,
     equal_weight_scan,

@@ -19,7 +19,7 @@ import sys
 from typing import Callable
 
 from . import tables as tables_mod
-from .helberg import HelbergParams, helberg_code
+from .helberg import helberg_code
 from .maps import VT_MAP_NAMES, naisargik_map
 from .spheres import sphere_members
 from .tables import Table
@@ -34,13 +34,7 @@ from .verify import (
     verify_residue_bijection,
     verify_vt_correction,
 )
-from .vt import (
-    BinaryVtParams,
-    QaryVtParams,
-    binary_vt_code,
-    equal_weight_scan,
-    qary_vt_code,
-)
+from .vt import binary_vt_code, equal_weight_scan, qary_vt_code
 from .words import (
     DEFAULT_MAX_ENUM,
     ResourceLimitError,
@@ -161,9 +155,9 @@ def _call(what: str, signature: inspect.Signature, entry: Callable, flags: dict,
 
 #: Codebook generators by ``gen`` kind; each signature states its flags.
 GENERATORS: dict[str, Callable[..., frozenset]] = {
-    "vt-binary": lambda n, a, *, limit: binary_vt_code(BinaryVtParams(n, a), limit),
-    "vt-qary": lambda n, a, b, q=4, *, limit: qary_vt_code(QaryVtParams(n, q, a, b), limit),
-    "helberg": lambda n, s, a, q=4, *, limit: helberg_code(HelbergParams(n, q, s, a), limit),
+    "vt-binary": lambda n, a, *, limit: binary_vt_code(n, a, limit),
+    "vt-qary": lambda n, a, b, q=4, *, limit: qary_vt_code(n, q, a, b, limit),
+    "helberg": lambda n, s, a, q=4, *, limit: helberg_code(n, q, s, a, limit),
 }
 
 
@@ -244,10 +238,10 @@ CAMPAIGNS: dict[str, Callable[..., CampaignResult]] = {
         n, VT_MAP_NAMES if maps is None else _parse_map_list(maps), limit
     ),
     "conj2": lambda n, *, limit, workers: verify_residue_bijection(n, limit),
-    "reduction": lambda n, s, q=4, check_s=None, *, limit, workers: reduction_analysis(
-        n, q, s, check_s, limit, workers
+    "reduction": lambda n, s, check_s=None, *, limit, workers: reduction_analysis(
+        n, s, check_s, limit, workers
     ),
-    "torsion": lambda n, s, q=4, *, limit, workers: torsion_analysis(n, q, s, limit, workers),
+    "torsion": lambda n, s, *, limit, workers: torsion_analysis(n, s, limit, workers),
     "vt1": lambda n, q=2, *, limit, workers: verify_vt_correction(n, q, limit, workers),
     "helberg-self": lambda n, s, q=4, *, limit, workers: verify_helberg_self(
         n, q, s, limit, workers

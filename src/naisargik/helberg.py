@@ -12,7 +12,7 @@ unbounded, so the weight recursion cannot silently wrap at any desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -75,25 +75,6 @@ def weight_sequence(n: int, q: int, s: int) -> WeightSequence:
     return WeightSequence(q=q, s=s, values=tuple(values))
 
 
-@dataclass(frozen=True)
-class HelbergParams:
-    """Parameters (n, q, s, a); the weights and modulus are derived."""
-
-    n: int
-    q: int
-    s: int
-    a: int
-    weights: WeightSequence = field(init=False, compare=False, repr=False)
-    m: int = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        w = weight_sequence(self.n, self.q, self.s)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "m", w.modulus)
-        if not 0 <= self.a < self.m:
-            raise ValueError(f"residue {self.a} not in Z_{self.m}")
-
-
 def moment(word: Word, weights: WeightSequence) -> int:
     """The weighted symbol sum sum(v_i * x_i), exactly."""
     if len(word) > weights.n:
@@ -105,12 +86,15 @@ def moment(word: Word, weights: WeightSequence) -> int:
 
 
 def helberg_code(
-    params: HelbergParams, limit: int = DEFAULT_MAX_ENUM
+    n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
     """All length-n words whose moment is congruent to a mod m."""
-    w, m, a = params.weights, params.m, params.a
+    w = weight_sequence(n, q, s)
+    m = w.modulus
+    if not 0 <= a < m:
+        raise ValueError(f"residue {a} not in Z_{m}")
     return frozenset(
-        x for x in iter_words(params.n, params.q, limit) if moment(x, w) % m == a
+        x for x in iter_words(n, q, limit) if moment(x, w) % m == a
     )
 
 

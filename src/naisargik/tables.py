@@ -13,7 +13,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .helberg import (
-    HelbergParams,
     cardinality_lower_bound,
     cardinality_upper_bound,
     helberg_census,
@@ -22,7 +21,7 @@ from .helberg import (
 from .maps import naisargik_map
 from .spheres import sphere_members
 from .verify import phi9_image_classes, verify_residue_bijection
-from .vt import QaryVtParams, image_pair_diff, qary_vt_census, qary_vt_code
+from .vt import image_pair_diff, qary_vt_census, qary_vt_code
 from .words import DEFAULT_MAX_ENUM, format_word, parse_word
 
 
@@ -52,10 +51,10 @@ def _sphere_cell(word, s: int) -> str:
     return ";".join(sorted(format_word(w) for w in sphere_members(word, s)))
 
 
-def table2(n: int = 4, a: int = 1, b: int = 2, limit: int = DEFAULT_MAX_ENUM) -> Table:
-    """Quaternary VT codebook beside its phi8 images."""
+def table2(n: int = 4, a: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
+    """Quaternary VT codebook (a, 2) beside its phi8 images."""
     smap = naisargik_map("phi8")
-    words = sorted(qary_vt_code(QaryVtParams(n, 4, a, b), limit))
+    words = sorted(qary_vt_code(n, 4, a, 2, limit))
     rows = tuple((format_word(w), format_word(smap.apply(w))) for w in words)
     return Table("table2", ("codeword", "image"), rows)
 
@@ -148,25 +147,30 @@ def table9(
     """Binary Helberg codebook beside its phi9 inverse images.
 
     Defaults to the smallest maximum-cardinality residue when ``a`` is omitted.
+    An odd ``n`` has no inverse image and is refused before any counting.
     """
+    if n % 2:
+        raise ValueError("binary length must be even to invert the map")
     smap = naisargik_map("phi9")
     if a is None:
         census = helberg_census(n, 2, s, limit)
         a = census.residues_with(census.max_count())[0]
-    code = sorted(helberg_code(HelbergParams(n, 2, s, a), limit))
+    code = sorted(helberg_code(n, 2, s, a, limit))
     rows = tuple((format_word(w), format_word(smap.invert(w))) for w in code)
     return Table("table9", ("codeword", "image"), rows)
 
 
 def table10(n: int = 4, a: int = 40, limit: int = DEFAULT_MAX_ENUM) -> Table:
-    """phi9 images of one quaternary class against its binary class."""
-    HelbergParams(n, 4, 1, a)  # a residue outside Z_m is an error, not an empty table
-    pairs, _, binary_class = phi9_image_classes(n, (a,), limit)[a]
+    """phi9 images of one quaternary class against its binary class.
+
+    The images lie in their binary class exactly when they share one residue.
+    """
+    pairs, image_residues = phi9_image_classes(n, (a,), limit)[a]
     rows = tuple(
         (
             format_word(w),
             format_word(img),
-            format_word(img) if img in binary_class else "",
+            format_word(img) if len(image_residues) == 1 else "",
         )
         for w, img in pairs
     )
@@ -185,7 +189,7 @@ def table12(n: int = 4, s: int = 1, a: int = 13, limit: int = DEFAULT_MAX_ENUM) 
     does not match its own mapping table, hence the note column.
     """
     smap = naisargik_map("phi9")
-    code = sorted(helberg_code(HelbergParams(n, 4, s, a), limit))
+    code = sorted(helberg_code(n, 4, s, a, limit))
     rows = tuple(
         (format_word(smap.apply(w)), _sphere_cell(smap.apply(w), s + 1), "recomputed")
         for w in code
@@ -198,18 +202,16 @@ def table13(
 ) -> Table:
     """1-deletion spheres of the phi9 inverse images of one binary codebook."""
     smap = naisargik_map("phi9")
-    code = helberg_code(HelbergParams(n, 2, s, a), limit)
+    code = helberg_code(n, 2, s, a, limit)
     inverse = sorted(smap.invert(w) for w in code)
     rows = tuple((format_word(w), _sphere_cell(w, 1)) for w in inverse)
     return Table("table13", ("codeword", "sphere"), rows)
 
 
-def table14(
-    n: int = 4, a: int = 1, b: int = 2, limit: int = DEFAULT_MAX_ENUM
-) -> Table:
-    """1-deletion spheres of the phi8 images of one quaternary VT codebook."""
+def table14(n: int = 4, a: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
+    """1-deletion spheres of the phi8 images of one quaternary VT codebook (a, 2)."""
     smap = naisargik_map("phi8")
-    words = sorted(qary_vt_code(QaryVtParams(n, 4, a, b), limit))
+    words = sorted(qary_vt_code(n, 4, a, 2, limit))
     rows = tuple(
         (format_word(smap.apply(w)), _sphere_cell(smap.apply(w), 1)) for w in words
     )

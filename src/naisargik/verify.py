@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .helberg import (
+    helberg_census,
     helberg_classes,
     moment,
     reduction_code,
@@ -222,34 +223,31 @@ def verify_inverse_correction(
 
 
 def phi9_image_classes(
-    n: int, residues: Iterable[int] | None, limit: int
-) -> dict[int, tuple[tuple[tuple[Word, Word], ...], frozenset[int], frozenset[Word]]]:
-    """phi9 images of classes of H(n, 4, 1, .) beside their class of H(2n, 2, 2, .).
+    n: int, residues: Sequence[int] | None, limit: int
+) -> dict[int, tuple[tuple[tuple[Word, Word], ...], frozenset[int]]]:
+    """phi9 images of classes of H(n, 4, 1, .) and their residues in H(2n, 2, 2, .).
 
-    ``residues`` picks the quaternary classes; None picks every class of
-    maximum cardinality.  Each picked residue a maps to a triple: the
-    (codeword, image) pairs of H(n, 4, 1, a) in class order, the residues of
-    the images in H(2n, 2, 2, .), and the class H(2n, 2, 2, a') when those
-    residues are the single a' (else the empty set).  Each code is scanned
-    once per call.
+    ``residues`` picks the quaternary classes, each checked against Z_m
+    before the scan; None picks every class of maximum cardinality.  Each
+    picked residue a maps to a pair: the (codeword, image) pairs of
+    H(n, 4, 1, a) in class order, and the residues of the images in
+    H(2n, 2, 2, .).  When those residues are the single a', every image lies
+    in H(2n, 2, 2, a') by the definition of the class.  Only Z_4^n is scanned.
     """
+    m = weight_sequence(n, 4, 1).modulus
+    for a in residues or ():
+        if not 0 <= a < m:
+            raise ValueError(f"residue {a} not in Z_{m}")
     smap = naisargik_map("phi9")
     _, classes4 = helberg_classes(n, 4, 1, limit)
     if residues is None:
         top = max(len(ws) for ws in classes4.values())
         residues = [a for a, ws in classes4.items() if len(ws) == top]
     w2 = weight_sequence(2 * n, 2, 2)
-    _, classes2 = helberg_classes(2 * n, 2, 2, limit)
     out = {}
     for a in residues:
         pairs = tuple((w, smap.apply(w)) for w in classes4.get(a, ()))
-        image_residues = frozenset(moment(img, w2) % w2.modulus for _, img in pairs)
-        binary_class = (
-            frozenset(classes2[min(image_residues)])
-            if len(image_residues) == 1
-            else frozenset()
-        )
-        out[a] = (pairs, image_residues, binary_class)
+        out[a] = (pairs, frozenset(moment(img, w2) % w2.modulus for _, img in pairs))
     return out
 
 
@@ -259,27 +257,28 @@ def verify_residue_bijection(
     """Maximum single-deletion quaternary classes map onto one binary class.
 
     For each residue a of maximum cardinality in H(n, 4, 1, .), all phi9
-    images must share a single residue a' of H(2n, 2, 2, .), be a subset of
-    that class, and (stronger, reported separately) equal it.
+    images must share a single residue a' of H(2n, 2, 2, .), which puts them
+    in that class, and (stronger, reported separately) fill it.  phi9 is
+    injective, so the images fill the class when their count equals its
+    census count.
     """
     cells = []
     mapping: list[tuple[int, int]] = []
     classes = phi9_image_classes(n, None, limit)
-    for a, (pairs, image_residues, binary_class) in classes.items():
-        images = {img for _, img in pairs}
+    census = helberg_census(2 * n, 2, 2, limit)
+    for a, (pairs, image_residues) in classes.items():
         consistent = len(image_residues) == 1
         a_prime = min(image_residues)
-        subset = consistent and images <= binary_class
         mapping.append((a, a_prime))
         cells.append(
             CampaignCell(
                 label=f"a={a}",
-                passed=subset,
+                passed=consistent,
                 detail={
                     "image_residue": a_prime,
                     "consistent": consistent,
-                    "subset": subset,
-                    "set_equal": consistent and images == binary_class,
+                    "subset": consistent,
+                    "set_equal": consistent and len(pairs) == census.counts[a_prime],
                     "codewords": len(pairs),
                 },
             )
@@ -299,7 +298,6 @@ def verify_residue_bijection(
 
 def reduction_analysis(
     n: int,
-    q: int,
     s: int,
     check_s: int | None = None,
     limit: int = DEFAULT_MAX_ENUM,
@@ -309,10 +307,11 @@ def reduction_analysis(
 
     The expected outcome is mixed: some residues reduce to a deletion-
     correcting binary code and some do not, so the summary records both
-    counts.  ``check_s`` defaults to the codebook's own s.
+    counts.  ``check_s`` defaults to the codebook's own s.  The codebooks are
+    quaternary: the reduction is defined over Z_4 only.
     """
     check = s if check_s is None else check_s
-    m, classes = helberg_classes(n, q, s, limit)
+    m, classes = helberg_classes(n, 4, s, limit)
     cells = _correction_cells(classes, _reduction_cell, check, workers, min_size=1)
     passing = sum(1 for c in cells if c.passed)
     summary = {
@@ -324,27 +323,27 @@ def reduction_analysis(
     }
     return CampaignResult(
         campaign="reduction",
-        params={"n": n, "q": q, "s": s, "check_s": check},
+        params={"n": n, "q": 4, "s": s, "check_s": check},
         cells=cells,
         summary=summary,
     )
 
 
 def torsion_analysis(
-    n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM, workers: int = 1
+    n: int, s: int, limit: int = DEFAULT_MAX_ENUM, workers: int = 1
 ) -> CampaignResult:
-    """Torsion codes of every residue class; nontrivial ones fail their cell.
+    """Torsion codes of every quaternary residue class; nontrivial ones fail their cell.
 
     A cell passes when the torsion code has at most one word, confirming
     that no residue carries a nontrivial torsion code.
     """
-    m, classes = helberg_classes(n, q, s, limit)
+    m, classes = helberg_classes(n, 4, s, limit)
     cells = _correction_cells(classes, _torsion_cell, None, workers, min_size=1)
     sizes = sorted({c.detail["torsion_size"] for c in cells})
     summary = {"modulus": m, "torsion_sizes_seen": sizes}
     return CampaignResult(
         campaign="torsion",
-        params={"n": n, "q": q, "s": s},
+        params={"n": n, "q": 4, "s": s},
         cells=cells,
         summary=summary,
     )

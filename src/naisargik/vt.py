@@ -28,40 +28,6 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class BinaryVtParams:
-    """Parameters (n, a) of the binary codebook with checksum a mod (n+1)."""
-
-    n: int
-    a: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("codeword length must be >= 1")
-        if not 0 <= self.a <= self.n:
-            raise ValueError(f"residue {self.a} not in Z_{self.n + 1}")
-
-
-@dataclass(frozen=True)
-class QaryVtParams:
-    """Parameters (n, q, a, b) of a q-ary VT codebook."""
-
-    n: int
-    q: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("codeword length must be >= 1")
-        if self.q < 2:
-            raise ValueError("alphabet size must be >= 2")
-        if not 0 <= self.a < self.n:
-            raise ValueError(f"residue {self.a} not in Z_{self.n}")
-        if not 0 <= self.b < self.q:
-            raise ValueError(f"residue {self.b} not in Z_{self.q}")
-
-
 def binary_vt_residue(word: Word) -> int:
     """Checksum sum(i * x_i) mod (n+1) with 1-based positions."""
     check_symbols(word, 2)
@@ -71,11 +37,15 @@ def binary_vt_residue(word: Word) -> int:
 
 
 def binary_vt_code(
-    params: BinaryVtParams, limit: int = DEFAULT_MAX_ENUM
+    n: int, a: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
     """All binary words of length n with checksum a, by exhaustive scan."""
+    if n < 1:
+        raise ValueError("codeword length must be >= 1")
+    if not 0 <= a <= n:
+        raise ValueError(f"residue {a} not in Z_{n + 1}")
     return frozenset(
-        w for w in iter_words(params.n, 2, limit) if binary_vt_residue(w) == params.a
+        w for w in iter_words(n, 2, limit) if binary_vt_residue(w) == a
     )
 
 
@@ -115,12 +85,19 @@ def qary_vt_classes(
 
 
 def qary_vt_code(
-    params: QaryVtParams, limit: int = DEFAULT_MAX_ENUM
+    n: int, q: int, a: int, b: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
+    """All length-n words over Z_q with residue pair (a, b), by exhaustive scan."""
+    if n < 1:
+        raise ValueError("codeword length must be >= 1")
+    if q < 2:
+        raise ValueError("alphabet size must be >= 2")
+    if not 0 <= a < n:
+        raise ValueError(f"residue {a} not in Z_{n}")
+    if not 0 <= b < q:
+        raise ValueError(f"residue {b} not in Z_{q}")
     return frozenset(
-        w
-        for w in iter_words(params.n, params.q, limit)
-        if qary_vt_residues(w, params.q) == (params.a, params.b)
+        w for w in iter_words(n, q, limit) if qary_vt_residues(w, q) == (a, b)
     )
 
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 import pytest
 
 from naisargik import (
-    BinaryVtParams,
-    HelbergParams,
     all_bijections,
     binary_vt_code,
     cardinality_lower_bound,
@@ -31,7 +29,6 @@ from naisargik import (
     qary_vt_census,
     qary_vt_classes,
     qary_vt_code,
-    QaryVtParams,
     signature,
     sphere_members,
     verify_image_correction,
@@ -127,7 +124,7 @@ def test_criterion_02_helberg_census():
 def test_criterion_03_vt_census():
     start = time.perf_counter()
     census = qary_vt_census(4, 4)
-    code = qary_vt_code(QaryVtParams(4, 4, 1, 2))
+    code = qary_vt_code(4, 4, 1, 2)
     elapsed = time.perf_counter() - start
     assert census == VT_4_4_CENSUS
     assert code == {parse_word(w, 4) for w, _ in VT_1_2_IMAGES}
@@ -153,10 +150,10 @@ def test_criterion_04_map_fidelity():
     assert vt_images == set(VT_1_2_IMAGES)
     assert helberg_images == set(HELBERG_4_4_1_13_IMAGES)
     assert inverse_images == set(HELBERG_10_2_2_66_INVERSE)
-    assert helberg_code(HelbergParams(4, 4, 1, 13)) == {
+    assert helberg_code(4, 4, 1, 13) == {
         parse_word(w, 4) for w, _ in HELBERG_4_4_1_13_IMAGES
     }
-    assert helberg_code(HelbergParams(10, 2, 2, 66)) == {
+    assert helberg_code(10, 2, 2, 66) == {
         parse_word(w, 2) for w, _ in HELBERG_10_2_2_66_INVERSE
     }
     assert elapsed < 1.0
@@ -242,12 +239,12 @@ def test_criterion_09_residue_bijection():
         assert mapping == RESIDUE_BIJECTION[n]
         if n in (4, 5):
             assert result.summary["all_classes_equal"]
-    images_40 = {PHI9.apply(w) for w in helberg_code(HelbergParams(4, 4, 1, 40))}
+    images_40 = {PHI9.apply(w) for w in helberg_code(4, 4, 1, 40)}
     assert images_40 == {parse_word(img, 2) for _, img in HELBERG_4_4_1_40_IMAGES}
-    assert images_40 == helberg_code(HelbergParams(8, 2, 2, 12))
-    images_134 = {PHI9.apply(w) for w in helberg_code(HelbergParams(5, 4, 1, 134))}
+    assert images_40 == helberg_code(8, 2, 2, 12)
+    images_134 = {PHI9.apply(w) for w in helberg_code(5, 4, 1, 134)}
     assert images_134 == {parse_word(img, 2) for _, img in HELBERG_5_4_1_134_IMAGES}
-    assert images_134 == helberg_code(HelbergParams(10, 2, 2, 32))
+    assert images_134 == helberg_code(10, 2, 2, 32)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(9, True, "max-class mappings match; set equality holds at n=4,5")
@@ -309,7 +306,7 @@ def test_criterion_11_sphere_oracle():
 
 def test_criterion_11_vt_partitions():
     for n in range(1, 15):
-        total = sum(len(binary_vt_code(BinaryVtParams(n, a))) for a in range(n + 1))
+        total = sum(len(binary_vt_code(n, a)) for a in range(n + 1))
         assert total == 2**n
     for n in range(1, 9):
         assert sum(qary_vt_census(n, 4).values()) == 4**n
@@ -319,7 +316,7 @@ def test_criterion_11_vt_partitions():
 def test_criterion_11_vt_single_deletion():
     for n in range(1, 11):
         for a in range(n + 1):
-            code = binary_vt_code(BinaryVtParams(n, a))
+            code = binary_vt_code(n, a)
             assert check_deletion_correcting(code, 1).ok
     for n in range(2, 7):
         for words in qary_vt_classes(n, 4).values():

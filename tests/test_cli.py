@@ -12,6 +12,7 @@ import pytest
 
 from naisargik.cli import CAMPAIGNS, TABLES, main
 from naisargik import tables as tables_mod
+from naisargik import words as words_mod
 from naisargik.tables import Table
 from naisargik.verify import CampaignResult
 from golden import HELBERG_4_4_1_13_IMAGES, VT_1_2_IMAGES
@@ -51,6 +52,20 @@ class TestGen:
     def test_residue_out_of_range_is_usage_error(self, capsys):
         code, _ = run(capsys, "gen", "helberg", "--n", "4", "--q", "4", "--s", "1", "--a", "121")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vt-binary", "--n", "3", "--a", "4"),
+            ("vt-qary", "--n", "4", "--a", "4", "--b", "0"),
+            ("vt-qary", "--n", "4", "--a", "0", "--b", "4"),
+            ("helberg", "--n", "4", "--s", "1", "--a", "121"),
+        ],
+    )
+    def test_residue_is_checked_before_the_guard(self, capsys, argv):
+        # --max-enum 1 trips the guard (exit 3) on any scan, so exit 2 shows
+        # that the residue was refused before enumeration.
+        assert run(capsys, "gen", *argv, "--max-enum", "1") == (2, "")
 
     def test_guard_trips_exit_3(self, capsys):
         code, _ = run(capsys, "gen", "vt-binary", "--n", "20", "--a", "0", "--max-enum", "1000")
@@ -179,8 +194,7 @@ class TestVerify:
 
     def test_reduction_reports_failure_with_witness(self, capsys):
         code, out = run(
-            capsys, "verify", "reduction", "--n", "4", "--q", "4", "--s", "1",
-            "--check-s", "2",
+            capsys, "verify", "reduction", "--n", "4", "--s", "1", "--check-s", "2",
         )
         assert code == 1
         witness = json.loads(lines(out)[-1])
@@ -188,8 +202,39 @@ class TestVerify:
         assert "witness" in witness
 
     def test_torsion(self, capsys):
-        code, out = run(capsys, "verify", "torsion", "--n", "4", "--q", "4", "--s", "1")
+        code, out = run(capsys, "verify", "torsion", "--n", "4", "--s", "1")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reduction", "--n", "3", "--q", "8", "--s", "1"),
+            ("torsion", "--n", "3", "--q", "2", "--s", "1"),
+        ],
+    )
+    def test_quaternary_campaigns_do_not_take_q(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not take --q" in captured.err
+
+    def test_conj2_enumerates_only_the_quaternary_words(self, capsys, monkeypatch):
+        # The binary class of each image follows from its residue and the
+        # census, so Z_2^(2n) is never enumerated.
+        real = words_mod.iter_words
+        pulled = []
+
+        def spy(*args):
+            for word in real(*args):
+                pulled.append(len(word))
+                yield word
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("naisargik") and hasattr(module, "iter_words"):
+                monkeypatch.setattr(module, "iter_words", spy)
+        code, out = run(capsys, "verify", "conj2", "--n", "5")
+        assert code == 0 and "passed: yes" in out
+        assert pulled == [5] * 4**5
 
     def test_vt1(self, capsys):
         code, _ = run(capsys, "verify", "vt1", "--n", "6")
@@ -307,6 +352,8 @@ class TestTables:
             ("table12", "--a", "121"),
             ("table13", "--a", "999"),
             ("table14", "--a", "4"),
+            # --max-enum 1 trips the guard on any scan: the residue is refused first.
+            ("table10", "--a", "999", "--max-enum", "1"),
         ],
     )
     def test_residue_out_of_range_is_usage_error(self, capsys, argv):
@@ -330,6 +377,13 @@ class TestTables:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err and "int()" not in captured.err
+
+    @pytest.mark.parametrize("cap", [[], ["--max-enum", "1"]])
+    def test_table9_refuses_odd_length_before_counting(self, capsys, cap):
+        assert main(["tables", "table9", "--n", "21", "--s", "2", *cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "binary length must be even to invert the map" in captured.err
 
     def test_census_guard_trips_exit_3(self, capsys):
         code, out = run(capsys, "tables", "table5", "--n", "9", "--max-enum", "1000")
@@ -390,7 +444,7 @@ CAMPAIGN_CASES = {
     "conj1": (("--n", "3", "--maps", "phi1,phi8"), 0),
     "conj2": (("--n", "3"), 0),
     "reduction": (("--n", "3", "--s", "1"), 1),
-    "torsion": (("--n", "3", "--q", "2", "--s", "1"), 0),
+    "torsion": (("--n", "3", "--s", "1"), 0),
     "vt1": (("--n", "5"), 0),
     "helberg-self": (("--n", "6", "--q", "2", "--s", "1"), 0),
 }

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naisargik import (
-    HelbergParams,
     ResourceLimitError,
     cardinality_lower_bound,
     cardinality_upper_bound,
@@ -94,7 +93,7 @@ def test_moment_examples():
 
 class TestHelbergCode:
     def test_two_deletion_example(self):
-        code = helberg_code(HelbergParams(5, 4, 2, 0))
+        code = helberg_code(5, 4, 2, 0)
         assert code == {
             (0, 0, 0, 0, 0),
             (1, 0, 0, 3, 3),
@@ -102,20 +101,21 @@ class TestHelbergCode:
         }
 
     def test_three_deletion_example(self):
-        assert helberg_code(HelbergParams(5, 4, 3, 0)) == {
+        assert helberg_code(5, 4, 3, 0) == {
             (0, 0, 0, 0, 0),
             (1, 0, 3, 3, 3),
         }
 
     def test_single_deletion_class_13(self):
-        assert helberg_code(HelbergParams(4, 4, 1, 13)) == {
+        assert helberg_code(4, 4, 1, 13) == {
             parse_word(w, 4)
             for w in ("0010", "1013", "1300", "2303", "3332")
         }
 
     def test_residue_out_of_range(self):
+        # limit=1 would trip the enumeration guard: the residue is checked first.
         with pytest.raises(ValueError):
-            HelbergParams(5, 4, 3, 1000)
+            helberg_code(5, 4, 3, 1000, limit=1)
 
     def test_codebooks_correct_their_budget(self):
         for n, q, s in [(5, 4, 2), (5, 4, 3), (6, 4, 1), (10, 2, 2), (8, 2, 3)]:
@@ -193,7 +193,7 @@ class TestBounds:
 def test_reduction_code():
     assert reduction_code({(0, 0, 0, 0, 0)}) == {(0, 0, 0, 0, 0)}
     assert reduction_code({(2, 3, 3, 2, 3)}) == {(0, 1, 1, 0, 1)}
-    code = helberg_code(HelbergParams(5, 4, 2, 0))
+    code = helberg_code(5, 4, 2, 0)
     assert reduction_code(code) == {
         parse_word("00000", 2),
         parse_word("10011", 2),
@@ -202,7 +202,7 @@ def test_reduction_code():
 
 
 def test_torsion_code():
-    code = helberg_code(HelbergParams(5, 4, 1, 0))
+    code = helberg_code(5, 4, 1, 0)
     assert (0, 0, 0, 0, 0) in code
     assert torsion_code(code) == {(0, 0, 0, 0, 0)}
     assert torsion_code({(1, 2, 3), (3, 2, 1)}) == frozenset()

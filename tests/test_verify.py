@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from naisargik import (
-    HelbergParams,
     format_word,
     helberg_code,
     moment,
@@ -36,24 +35,24 @@ PHI9 = naisargik_map("phi9")
 
 
 def test_image_code_golden_class_13():
-    code = helberg_code(HelbergParams(4, 4, 1, 13))
+    code = helberg_code(4, 4, 1, 13)
     expected = {parse_word(img, 2) for _, img in HELBERG_4_4_1_13_IMAGES}
     assert {PHI9.apply(w) for w in code} == expected
 
 
 def test_image_code_golden_class_40():
-    code = helberg_code(HelbergParams(4, 4, 1, 40))
+    code = helberg_code(4, 4, 1, 40)
     expected = {parse_word(img, 2) for _, img in HELBERG_4_4_1_40_IMAGES}
     assert {PHI9.apply(w) for w in code} == expected
 
 
 def test_image_code_preserves_cardinality():
-    code = helberg_code(HelbergParams(5, 4, 1, 134))
+    code = helberg_code(5, 4, 1, 134)
     assert len({PHI9.apply(w) for w in code}) == len(code)
 
 
 def test_inverse_image_golden():
-    code = helberg_code(HelbergParams(10, 2, 2, 66))
+    code = helberg_code(10, 2, 2, 66)
     expected = {parse_word(w, 4) for _, w in HELBERG_10_2_2_66_INVERSE}
     inverse = {PHI9.invert(w) for w in code}
     assert inverse == expected
@@ -98,10 +97,10 @@ def test_inverse_correction_rejects_odd_length():
 def test_image_residue_examples():
     w8 = weight_sequence(8, 2, 2)
     for a, expected in [(40, 12), (13, 33)]:
-        for x in sorted(helberg_code(HelbergParams(4, 4, 1, a))):
+        for x in sorted(helberg_code(4, 4, 1, a)):
             assert moment(PHI9.apply(x), w8) % w8.modulus == expected
     w10 = weight_sequence(10, 2, 2)
-    for x in sorted(helberg_code(HelbergParams(5, 4, 1, 134))):
+    for x in sorted(helberg_code(5, 4, 1, 134)):
         assert moment(PHI9.apply(x), w10) % w10.modulus == 32
 
 
@@ -120,7 +119,7 @@ def test_residue_bijection_images_match_binary_class():
     assert cell.detail["image_residue"] == 32
     assert cell.detail["set_equal"]
     expected = {parse_word(img, 2) for _, img in HELBERG_5_4_1_134_IMAGES}
-    code = helberg_code(HelbergParams(5, 4, 1, 134))
+    code = helberg_code(5, 4, 1, 134)
     assert {PHI9.apply(w) for w in code} == expected
 
 
@@ -138,13 +137,13 @@ def test_image_tables_match_codes_built_by_definition(name, kwargs, n, a):
     # The third column holds an image exactly when all images of the class
     # share one binary residue a' and the image lies in H(2n, 2, 2, a').
     table = getattr(tables_mod, name)(**kwargs)
-    code = sorted(helberg_code(HelbergParams(n, 4, 1, a)))
+    code = sorted(helberg_code(n, 4, 1, a))
     images = [PHI9.apply(w) for w in code]
     w2 = weight_sequence(2 * n, 2, 2)
     image_residues = {moment(img, w2) % w2.modulus for img in images}
     binary = set()
     if len(image_residues) == 1:
-        binary = helberg_code(HelbergParams(2 * n, 2, 2, image_residues.pop()))
+        binary = helberg_code(2 * n, 2, 2, image_residues.pop())
     expected = tuple(
         (format_word(w), format_word(img), format_word(img) if img in binary else "")
         for w, img in zip(code, images)
@@ -165,7 +164,7 @@ def test_cardinality_comparison_recomputed():
 
 
 def test_reduction_analysis_mixed_pattern():
-    result = reduction_analysis(4, 4, 1, check_s=2)
+    result = reduction_analysis(4, 1, check_s=2)
     assert result.summary["mixed"]
     assert result.summary["passing_residues"] == 52
     assert result.summary["failing_residues"] == 69
@@ -175,7 +174,7 @@ def test_reduction_analysis_mixed_pattern():
 
 
 def test_reduction_analysis_singletons_pass():
-    result = reduction_analysis(2, 4, 1)
+    result = reduction_analysis(2, 1)
     for cell in result.cells:
         if cell.detail["reduced"] <= 1:
             assert cell.passed
@@ -184,13 +183,13 @@ def test_reduction_analysis_singletons_pass():
 def test_torsion_analysis_grid():
     for n in range(1, 6):
         for s in (1, 2):
-            result = torsion_analysis(n, 4, s)
+            result = torsion_analysis(n, s)
             assert result.passed
             assert max(result.summary["torsion_sizes_seen"]) <= 1
 
 
 def test_torsion_analysis_finds_the_zero_word():
-    result = torsion_analysis(5, 4, 1)
+    result = torsion_analysis(5, 1)
     by_label = {cell.label: cell for cell in result.cells}
     assert by_label["a=0"].detail["torsion"] == ["00000"]
 
@@ -198,8 +197,8 @@ def test_torsion_analysis_finds_the_zero_word():
 @pytest.mark.parametrize(
     "campaign",
     [
-        lambda workers: reduction_analysis(4, 4, 1, check_s=2, workers=workers),
-        lambda workers: torsion_analysis(5, 4, 1, workers=workers),
+        lambda workers: reduction_analysis(4, 1, check_s=2, workers=workers),
+        lambda workers: torsion_analysis(5, 1, workers=workers),
     ],
     ids=["reduction", "torsion"],
 )

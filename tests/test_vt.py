@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naisargik import (
-    BinaryVtParams,
-    QaryVtParams,
     ResourceLimitError,
     all_bijections,
     binary_vt_code,
@@ -44,14 +42,14 @@ def test_binary_residue_rejects_non_binary():
 
 
 def test_binary_code_small():
-    assert binary_vt_code(BinaryVtParams(3, 0)) == {(0, 0, 0), (1, 0, 1)}
-    sizes = [len(binary_vt_code(BinaryVtParams(3, a))) for a in range(4)]
+    assert binary_vt_code(3, 0) == {(0, 0, 0), (1, 0, 1)}
+    sizes = [len(binary_vt_code(3, a)) for a in range(4)]
     assert sizes == [2, 2, 2, 2]  # n+1 a power of two: exactly 2^n/(n+1) each
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_binary_partition(n):
-    total = sum(len(binary_vt_code(BinaryVtParams(n, a))) for a in range(n + 1))
+    total = sum(len(binary_vt_code(n, a)) for a in range(n + 1))
     assert total == 2**n
 
 
@@ -77,12 +75,13 @@ def test_binary_classes_guards():
 
 
 def test_params_validation():
+    # limit=1 would trip the enumeration guard: the residues are checked first.
     with pytest.raises(ValueError):
-        BinaryVtParams(3, 4)
+        binary_vt_code(3, 4, limit=1)
     with pytest.raises(ValueError):
-        QaryVtParams(4, 4, 4, 0)
+        qary_vt_code(4, 4, 4, 0, limit=1)
     with pytest.raises(ValueError):
-        QaryVtParams(4, 4, 0, 4)
+        qary_vt_code(4, 4, 0, 4, limit=1)
 
 
 def test_signature_examples():
@@ -101,7 +100,7 @@ def test_qary_residue_examples():
 
 def test_qary_code_matches_golden_class():
     expected = {parse_word(w, 4) for w, _ in VT_1_2_IMAGES}
-    assert qary_vt_code(QaryVtParams(4, 4, 1, 2)) == expected
+    assert qary_vt_code(4, 4, 1, 2) == expected
 
 
 def test_qary_census_golden():
