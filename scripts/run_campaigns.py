@@ -4,8 +4,9 @@
 Covers: mapped Helberg codebooks at s+1 deletions (quaternary n <= 6, s <= 3,
 plus the n=7 single-deletion row), inverse images at floor(s/2) (binary
 lengths up to 12, s in {2,3,4}), the equal-weight scans for phi1..phi8 up to
-n = 8, the residue bijection for n = 3..7, reduction/torsion analyses, and
-the cardinality comparison.  Every campaign runs through ``cli.CAMPAIGNS``
+n = 8, the residue bijection for n = 3..7, reduction/torsion analyses, the
+coefficient/weight inequality families at n = 10 for s = 1..6, and the
+cardinality comparison.  Every campaign runs through ``cli.CAMPAIGNS``
 and the comparison through ``cli.build_table``.  Exits nonzero if any
 theorem-backed campaign fails.
 
@@ -33,6 +34,7 @@ def grid(fast: bool) -> list[tuple[str, dict]]:
         *(("conj2", {"n": n}) for n in range(3, 8)),
         ("reduction", {"n": 4, "s": 1, "check_s": 2}),
         *(("torsion", {"n": n, "s": s}) for n in range(1, 6) for s in (1, 2)),
+        *(("lemma", {"n": 10, "s": s}) for s in range(1, 7)),
     ]
 
 

@@ -6,12 +6,10 @@ deletion-correction claims exhaustively through deletion spheres.
 """
 
 from .helberg import (
-    CodebookCensus,
     WeightSequence,
     cardinality_lower_bound,
     cardinality_upper_bound,
     coefficient,
-    coefficient_lemma_report,
     helberg_census,
     helberg_classes,
     helberg_code,
@@ -33,6 +31,7 @@ from .verify import (
     CampaignResult,
     reduction_analysis,
     torsion_analysis,
+    verify_coefficient_lemma,
     verify_helberg_self,
     verify_image_correction,
     verify_inverse_correction,

@@ -28,6 +28,7 @@ from .verify import (
     CampaignResult,
     reduction_analysis,
     torsion_analysis,
+    verify_coefficient_lemma,
     verify_helberg_self,
     verify_image_correction,
     verify_inverse_correction,
@@ -246,6 +247,7 @@ CAMPAIGNS: dict[str, Callable[..., CampaignResult]] = {
     "helberg-self": lambda n, s, q=4, *, limit, workers: verify_helberg_self(
         n, q, s, limit, workers
     ),
+    "lemma": lambda n, s, q=4, *, limit, workers: verify_coefficient_lemma(n, q, s, limit),
 }
 
 

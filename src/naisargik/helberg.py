@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+from typing import Iterator
 
 from .words import (
     DEFAULT_MAX_ENUM,
@@ -62,17 +64,38 @@ def _check_domain(n: int, q: int, s: int) -> None:
         raise ValueError(f"need n >= 1, q >= 2, s >= 1; got ({n}, {q}, {s})")
 
 
+def _weights(q: int, s: int) -> Iterator[int]:
+    """v_1, v_2, ... by the defining recursion, without end."""
+    window = [0] * s
+    while True:
+        nxt = 1 + (q - 1) * sum(window)
+        yield nxt
+        window = window[1:] + [nxt] if s > 1 else [nxt]
+
+
 def weight_sequence(n: int, q: int, s: int) -> WeightSequence:
     """Compute v_1..v_{n+1} by the defining recursion."""
     _check_domain(n, q, s)
-    r = q - 1
-    window = [0] * s
-    values = []
-    for _ in range(n + 1):
-        nxt = 1 + r * sum(window)
-        values.append(nxt)
-        window = window[1:] + [nxt] if s > 1 else [nxt]
-    return WeightSequence(q=q, s=s, values=tuple(values))
+    return WeightSequence(q=q, s=s, values=tuple(islice(_weights(q, s), n + 1)))
+
+
+def guard_word_space(n: int, q: int, s: int, limit: int, a: int | None = None) -> None:
+    """Refuse a bad (n, q, s), then a residue a outside Z_m, then Z_q^n past ``limit``.
+
+    No weight above a is built: the weights increase, so a >= 0 lies in Z_m,
+    m = v_{n+1}, once one of v_1..v_{n+1} exceeds it.  An oversized n thus
+    costs no big-integer work, and a refused a prints no number longer than a.
+    """
+    _check_domain(n, q, s)
+    if a is not None:
+        if a < 0:
+            raise ValueError(f"residue {a} is negative")
+        for m in islice(_weights(q, s), n + 1):
+            if m > a:
+                break
+        else:
+            raise ValueError(f"residue {a} not in Z_{m}")
+    ensure_enumerable(n, q, limit)
 
 
 def moment(word: Word, weights: WeightSequence) -> int:
@@ -89,12 +112,10 @@ def helberg_code(
     n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
     """All length-n words whose moment is congruent to a mod m."""
+    guard_word_space(n, q, s, limit, a)
     w = weight_sequence(n, q, s)
-    m = w.modulus
-    if not 0 <= a < m:
-        raise ValueError(f"residue {a} not in Z_{m}")
     return frozenset(
-        x for x in iter_words(n, q, limit) if moment(x, w) % m == a
+        x for x in iter_words(n, q, limit) if moment(x, w) % w.modulus == a
     )
 
 
@@ -106,6 +127,7 @@ def helberg_classes(
     Returns (m, classes); residues with no codeword are absent from the
     mapping.  Words are sorted within each class.
     """
+    guard_word_space(n, q, s, limit)
     w = weight_sequence(n, q, s)
     m = w.modulus
     buckets: dict[int, list[Word]] = {}
@@ -114,32 +136,13 @@ def helberg_classes(
     return m, {a: tuple(ws) for a, ws in sorted(buckets.items())}
 
 
-@dataclass(frozen=True)
-class CodebookCensus:
-    """Codeword count per residue for one (n, q, s); counts sum to q^n.
-
-    ``counts`` holds the populated residues only, in increasing order.  The
-    counts come from the moment distribution that ``helberg_census`` computes
-    position by position; no word is enumerated.
-    """
-
-    n: int
-    q: int
-    s: int
-    m: int
-    counts: dict[int, int]
-
-    def max_count(self) -> int:
-        return max(self.counts.values(), default=0)
-
-    def residues_with(self, count: int) -> tuple[int, ...]:
-        return tuple(a for a, c in sorted(self.counts.items()) if c == count)
-
-
 def helberg_census(
     n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM
-) -> CodebookCensus:
+) -> dict[int, int]:
     """Count the words of Z_q^n per moment residue, without enumerating them.
+
+    Returns the populated residues in increasing order, each mapped to its
+    count; the counts sum to q^n.
 
     The number of words with moment t is the coefficient of z^t in the
     product over positions of 1 + z^v + z^(2v) + ... + z^((q-1)v), one factor
@@ -148,8 +151,8 @@ def helberg_census(
     Since v_i <= q^(i-1), every moment is below q^n, so the coefficient list
     never outgrows the word space that ``limit`` caps.
     """
+    guard_word_space(n, q, s, limit)
     w = weight_sequence(n, q, s)
-    ensure_enumerable(q**n, limit)
     m = w.modulus
     poly = [1]
     for v in w.values[:-1]:
@@ -164,9 +167,7 @@ def helberg_census(
     for start in range(0, len(poly), m):
         chunk = poly[start : start + m]
         counts[: len(chunk)] = [c + d for c, d in zip(counts, chunk)]
-    return CodebookCensus(
-        n=n, q=q, s=s, m=m, counts={a: c for a, c in enumerate(counts) if c}
-    )
+    return {a: c for a, c in enumerate(counts) if c}
 
 
 def coefficient(i: int, weights: WeightSequence) -> int:
@@ -182,68 +183,6 @@ def coefficient(i: int, weights: WeightSequence) -> int:
     return ((i + 1) % 2 + 1) * weights.v(half)
 
 
-@dataclass(frozen=True)
-class CoefficientLemmaReport:
-    """Exhaustive check of the three coefficient/weight inequality families.
-
-    monotone:   C_i > C_j for all 1 <= j < i <= 2n.
-    single_gap: C_L - sum_{i=L-s}^{L-1} C_i >= 1 for all 1 <= L <= 2n.
-    paired_gap: v_{2L-1} - sum_{i=L-floor(s/2)+1}^{L-1} (v_{2i-1} + v_{2i}) >= 1
-                for all L with 2L-1 in range.
-    Sum terms with indices <= 0 contribute nothing.
-    """
-
-    n: int
-    q: int
-    s: int
-    monotone: bool
-    single_gap: bool
-    paired_gap: bool
-    violations: tuple[str, ...] = ()
-
-    @property
-    def all_hold(self) -> bool:
-        return self.monotone and self.single_gap and self.paired_gap
-
-
-def coefficient_lemma_report(n: int, q: int, s: int) -> CoefficientLemmaReport:
-    w = weight_sequence(2 * n, q, s)  # indices up to 2n need v up to n+...; ample
-    coeffs = {i: coefficient(i, w) for i in range(1, 2 * n + 1)}
-    violations: list[str] = []
-
-    monotone = True
-    for i in range(2, 2 * n + 1):
-        if coeffs[i] <= coeffs[i - 1]:
-            monotone = False
-            violations.append(f"C_{i} <= C_{i - 1}")
-
-    single_gap = True
-    for L in range(1, 2 * n + 1):
-        gap = coeffs[L] - sum(coeffs[i] for i in range(max(1, L - s), L))
-        if gap < 1:
-            single_gap = False
-            violations.append(f"C_{L} gap {gap} < 1")
-
-    paired_gap = True
-    for L in range(1, n + 1):
-        lo = L - s // 2 + 1
-        total = sum(w.v(2 * i - 1) + w.v(2 * i) for i in range(max(1, lo), L))
-        gap = w.v(2 * L - 1) - total
-        if gap < 1:
-            paired_gap = False
-            violations.append(f"v_{2 * L - 1} paired gap {gap} < 1")
-
-    return CoefficientLemmaReport(
-        n=n,
-        q=q,
-        s=s,
-        monotone=monotone,
-        single_gap=single_gap,
-        paired_gap=paired_gap,
-        violations=tuple(violations),
-    )
-
-
 def cardinality_lower_bound(n: int, q: int, s: int) -> Fraction:
     """Asymptotic lower bound ((s!)^2 q^(n+s) + s) / ((q-1)^(2s) 2^n 2^s)."""
     _check_domain(n, q, s)
@@ -256,6 +195,16 @@ def cardinality_upper_bound(n: int, q: int, s: int) -> Fraction:
     """Asymptotic upper bound s! q^n / ((q-1)^s n^s)."""
     _check_domain(n, q, s)
     return Fraction(factorial(s) * q**n, (q - 1) ** s * n**s)
+
+
+def upper_bound_exponent(n: int, q: int, s: int) -> int:
+    """An exponent e with cardinality_upper_bound(n, q, s) > 2^e, from bit lengths alone.
+
+    For x >= 1, 2^(len(x) - 1) <= x < 2^len(x), and s! >= 1; no power of q
+    is built.
+    """
+    _check_domain(n, q, s)
+    return n * (q.bit_length() - 1) - s * ((q - 1).bit_length() + n.bit_length())
 
 
 def reduction_code(code: frozenset[Word] | set[Word]) -> frozenset[Word]:

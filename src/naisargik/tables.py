@@ -17,6 +17,7 @@ from .helberg import (
     cardinality_upper_bound,
     helberg_census,
     helberg_code,
+    upper_bound_exponent,
 )
 from .maps import naisargik_map
 from .spheres import sphere_members
@@ -73,8 +74,7 @@ def table3() -> Table:
 
 def table5(n: int = 4, q: int = 4, s: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """Helberg residue census, one row per populated residue."""
-    census = helberg_census(n, q, s, limit)
-    rows = tuple((str(a), str(c)) for a, c in sorted(census.counts.items()))
+    rows = tuple((str(a), str(c)) for a, c in helberg_census(n, q, s, limit).items())
     return Table("table5", ("residue", "count"), rows)
 
 
@@ -97,8 +97,8 @@ def table7(n_values: Iterable[int] = (2, 3, 4, 5, 6), limit: int = DEFAULT_MAX_E
     """
     rows = []
     for n in n_values:
-        max_binary = helberg_census(2 * n, 2, 2, limit).max_count()
-        max_image = helberg_census(n, 4, 1, limit).max_count()
+        max_binary = max(helberg_census(2 * n, 2, 2, limit).values())
+        max_image = max(helberg_census(n, 4, 1, limit).values())
         rows.append(
             (
                 str(n),
@@ -134,9 +134,9 @@ def table8(
         cells = ((n, s) for n in n_values)
     rows = []
     for n, s in cells:
-        census = helberg_census(n, 4, s, limit)
-        top = census.max_count()
-        residues = " ".join(str(a) for a in census.residues_with(top))
+        counts = helberg_census(n, 4, s, limit)
+        top = max(counts.values())
+        residues = " ".join(str(a) for a, c in counts.items() if c == top)
         rows.append((str(n), str(s), str(top), residues))
     return Table("table8", ("n", "s", "count", "residues"), tuple(rows))
 
@@ -153,8 +153,8 @@ def table9(
         raise ValueError("binary length must be even to invert the map")
     smap = naisargik_map("phi9")
     if a is None:
-        census = helberg_census(n, 2, s, limit)
-        a = census.residues_with(census.max_count())[0]
+        counts = helberg_census(n, 2, s, limit)
+        a = max(counts, key=counts.get)
     code = sorted(helberg_code(n, 2, s, a, limit))
     rows = tuple((format_word(w), format_word(smap.invert(w))) for w in code)
     return Table("table9", ("codeword", "image"), rows)
@@ -200,7 +200,12 @@ def table12(n: int = 4, s: int = 1, a: int = 13, limit: int = DEFAULT_MAX_ENUM) 
 def table13(
     n: int = 10, s: int = 2, a: int = 66, limit: int = DEFAULT_MAX_ENUM
 ) -> Table:
-    """1-deletion spheres of the phi9 inverse images of one binary codebook."""
+    """1-deletion spheres of the phi9 inverse images of one binary codebook.
+
+    An odd ``n`` has no inverse image and is refused before any enumeration.
+    """
+    if n % 2:
+        raise ValueError("binary length must be even to invert the map")
     smap = naisargik_map("phi9")
     code = helberg_code(n, 2, s, a, limit)
     inverse = sorted(smap.invert(w) for w in code)
@@ -227,22 +232,24 @@ def table15(n: int = 4, q: int = 4, limit: int = DEFAULT_MAX_ENUM) -> Table:
     return Table("table15", ("a", "b", "count"), rows)
 
 
-def _approx(bound, n: int) -> str:
-    try:
-        return f"{float(bound):.6g}"
-    except OverflowError:
-        raise ValueError(f"the approximate bound column overflows a float at n = {n}") from None
-
-
 def bounds_table(n_values: Iterable[int] = (2, 3, 4, 5, 6), q: int = 4, s: int = 1) -> Table:
-    """Formula-evaluated lower/upper cardinality bounds, exact and approximate."""
+    """Formula-evaluated lower/upper cardinality bounds, exact and approximate.
+
+    A row whose upper bound exceeds 2^1024 by its bit lengths alone is refused
+    before either Fraction is built; nearer the float limit the exact bounds
+    are converted and an overflow refuses the row the same way.
+    """
     rows = []
     for n in n_values:
-        lo = cardinality_lower_bound(n, q, s)
-        hi = cardinality_upper_bound(n, q, s)
-        rows.append(
-            (str(n), str(q), str(s), str(lo), _approx(lo, n), str(hi), _approx(hi, n))
-        )
+        try:
+            if upper_bound_exponent(n, q, s) >= 1024:
+                raise OverflowError
+            lo = cardinality_lower_bound(n, q, s)
+            hi = cardinality_upper_bound(n, q, s)
+            approx = (f"{float(lo):.6g}", f"{float(hi):.6g}")
+        except OverflowError:
+            raise ValueError(f"the approximate bound column overflows a float at n = {n}") from None
+        rows.append((str(n), str(q), str(s), str(lo), approx[0], str(hi), approx[1]))
     return Table(
         "bounds",
         ("n", "q", "s", "lower", "lower_approx", "upper", "upper_approx"),

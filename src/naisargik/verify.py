@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .helberg import (
+    coefficient,
+    guard_word_space,
     helberg_census,
     helberg_classes,
     moment,
@@ -234,10 +236,8 @@ def phi9_image_classes(
     H(2n, 2, 2, .).  When those residues are the single a', every image lies
     in H(2n, 2, 2, a') by the definition of the class.  Only Z_4^n is scanned.
     """
-    m = weight_sequence(n, 4, 1).modulus
     for a in residues or ():
-        if not 0 <= a < m:
-            raise ValueError(f"residue {a} not in Z_{m}")
+        guard_word_space(n, 4, 1, limit, a)
     smap = naisargik_map("phi9")
     _, classes4 = helberg_classes(n, 4, 1, limit)
     if residues is None:
@@ -265,7 +265,7 @@ def verify_residue_bijection(
     cells = []
     mapping: list[tuple[int, int]] = []
     classes = phi9_image_classes(n, None, limit)
-    census = helberg_census(2 * n, 2, 2, limit)
+    counts = helberg_census(2 * n, 2, 2, limit)
     for a, (pairs, image_residues) in classes.items():
         consistent = len(image_residues) == 1
         a_prime = min(image_residues)
@@ -278,7 +278,7 @@ def verify_residue_bijection(
                     "image_residue": a_prime,
                     "consistent": consistent,
                     "subset": consistent,
-                    "set_equal": consistent and len(pairs) == census.counts[a_prime],
+                    "set_equal": consistent and len(pairs) == counts[a_prime],
                     "codewords": len(pairs),
                 },
             )
@@ -376,4 +376,39 @@ def verify_helberg_self(
         params={"n": n, "q": q, "s": s},
         cells=cells,
         summary={"modulus": m, "trivial_residues": m - len(cells)},
+    )
+
+
+def verify_coefficient_lemma(
+    n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM
+) -> CampaignResult:
+    """The coefficient/weight inequalities behind Theorems 1 and 2, one cell per family.
+
+    monotone:   C_i > C_{i-1} for 2 <= i <= 2n.
+    single_gap: C_L - sum_{i=L-s}^{L-1} C_i >= 1 for 1 <= L <= 2n.
+    paired_gap: v_{2L-1} - sum_{i=L-floor(s/2)+1}^{L-1} (v_{2i-1} + v_{2i}) >= 1
+                for 1 <= L <= n.
+    Sum terms with indices <= 0 contribute nothing.  A cell passes when its
+    ``violations`` list is empty.  Z_q^n is checked against ``limit`` before
+    any weight is built.
+    """
+    guard_word_space(n, q, s, limit)
+    w = weight_sequence(2 * n, q, s)  # the families read v up to v_{2n-1}
+    c = {i: coefficient(i, w) for i in range(1, 2 * n + 1)}
+    single = {L: c[L] - sum(c[i] for i in range(max(1, L - s), L)) for L in c}
+    paired = {
+        L: w.v(2 * L - 1)
+        - sum(w.v(2 * i - 1) + w.v(2 * i) for i in range(max(1, L - s // 2 + 1), L))
+        for L in range(1, n + 1)
+    }
+    violations = {
+        "monotone": [f"C_{i} <= C_{i - 1}" for i in c if i > 1 and c[i] <= c[i - 1]],
+        "single_gap": [f"C_{L} gap {g} < 1" for L, g in single.items() if g < 1],
+        "paired_gap": [f"v_{2 * L - 1} paired gap {g} < 1" for L, g in paired.items() if g < 1],
+    }
+    return CampaignResult(
+        campaign="coefficient-lemma",
+        params={"n": n, "q": q, "s": s},
+        cells=tuple(CampaignCell(k, not v, {"violations": v}) for k, v in violations.items()),
+        summary={"coefficients": 2 * n},
     )

@@ -114,7 +114,7 @@ def qary_vt_census(
     """
     if n < 1 or q < 2:
         raise ValueError(f"need n >= 1 and q >= 2; got ({n}, {q})")
-    ensure_enumerable(q**n, limit)
+    ensure_enumerable(n, q, limit)
     # counts[c][a][b]: prefixes ending in symbol c with residues (a, b).
     counts = [[[0] * q for _ in range(n)] for _ in range(q)]
     for c in range(q):

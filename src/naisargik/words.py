@@ -55,13 +55,17 @@ def format_word(word: Word) -> str:
     return "".join(str(sym) for sym in word)
 
 
-def ensure_enumerable(count: int, limit: int = DEFAULT_MAX_ENUM) -> None:
-    """Guard an exhaustive scan of ``count`` words against the cap ``limit``."""
+def ensure_enumerable(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
+    """Guard an exhaustive scan of the q^n words of Z_q^n against the cap ``limit``.
+
+    q^n is never built: for q >= 2 a length past the cap's bit length is over
+    it already, and the message names the space as ``q^n``.
+    """
     if limit < 1:
         raise ValueError("enumeration cap must be >= 1")
-    if count > limit:
+    if q ** min(n, limit.bit_length()) > limit:
         raise ResourceLimitError(
-            f"enumeration of {count} words exceeds the cap of {limit}"
+            f"enumeration of {q}^{n} words exceeds the cap of {limit}"
         )
 
 
@@ -71,5 +75,5 @@ def iter_words(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> Iterator[Word]:
         raise ValueError("word length must be >= 0")
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
-    ensure_enumerable(q**n, limit)
+    ensure_enumerable(n, q, limit)
     return itertools.product(range(q), repeat=n)

@@ -18,7 +18,6 @@ from naisargik import (
     cardinality_lower_bound,
     cardinality_upper_bound,
     check_deletion_correcting,
-    coefficient_lemma_report,
     equal_weight_scan,
     helberg_census,
     helberg_classes,
@@ -33,6 +32,7 @@ from naisargik import (
     sphere_members,
     verify_image_correction,
     verify_inverse_correction,
+    verify_coefficient_lemma,
     verify_residue_bijection,
     weight_sequence,
 )
@@ -112,11 +112,11 @@ def test_criterion_02_helberg_census():
     start = time.perf_counter()
     census = helberg_census(4, 4, 1)
     elapsed = time.perf_counter() - start
-    assert census.residues_with(5) == HELBERG_4_4_1_TOP[5]
+    assert tuple(a for a, c in census.items() if c == 5) == HELBERG_4_4_1_TOP[5]
     for residue in HELBERG_4_4_1_TOP[4]:
-        assert census.counts[residue] == 4
-    assert census.residues_with(4) == HELBERG_4_4_1_FOURS_RECOMPUTED
-    assert sum(census.counts.values()) == 4**4
+        assert census[residue] == 4
+    assert tuple(a for a, c in census.items() if c == 4) == HELBERG_4_4_1_FOURS_RECOMPUTED
+    assert sum(census.values()) == 4**4
     assert elapsed < 1.0
     report(2, True, "H(4,4,1,.) census: 5s at {13,40}, listed 4s confirmed")
 
@@ -252,7 +252,7 @@ def test_criterion_09_residue_bijection():
 
 def max_binary_and_image(n: int) -> tuple[int, int]:
     """max |H(2n,2,2,.)| and max |H(n,4,1,.)|, the second also max |phi9(H(n,4,1,.))|."""
-    return helberg_census(2 * n, 2, 2).max_count(), helberg_census(n, 4, 1).max_count()
+    return max(helberg_census(2 * n, 2, 2).values()), max(helberg_census(n, 4, 1).values())
 
 
 def test_criterion_10_cardinality_and_bounds():
@@ -341,8 +341,9 @@ def test_criterion_11_helberg_grids():
 def test_criterion_11_lemma_families():
     for s in range(1, 7):
         for n in range(1, 11):
-            assert coefficient_lemma_report(n, 4, s).all_hold
-            assert coefficient_lemma_report(n, 2, s).paired_gap
+            assert verify_coefficient_lemma(n, 4, s).passed
+            binary = {cell.label: cell.passed for cell in verify_coefficient_lemma(n, 2, s).cells}
+            assert binary["paired_gap"]
     report(11, True, "coefficient and weight inequality families hold")
 
 

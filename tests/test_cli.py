@@ -248,6 +248,31 @@ class TestVerify:
         code, _ = run(capsys, "verify", "thm1", "--s", "1")
         assert code == 2
 
+    def test_lemma(self, capsys):
+        code, out = run(capsys, "verify", "lemma", "--n", "10", "--s", "2")
+        assert code == 0
+        assert lines(out) == [
+            "campaign: coefficient-lemma",
+            "params: n=10 q=4 s=2",
+            "coefficients: 20",
+            "cells checked: 3",
+            "passed: yes",
+        ]
+
+    def test_lemma_failure_names_its_family(self, capsys):
+        code, out = run(capsys, "verify", "lemma", "--n", "5", "--q", "2", "--s", "2")
+        assert code == 1
+        failure = json.loads(lines(out)[-1])
+        assert failure["cell"] == "monotone"
+        assert failure["violations"][0] == "C_3 <= C_2"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [(("--n", "13", "--s", "1"), 3), (("--n", "3", "--s", "1", "--map", "phi9"), 2)],
+    )
+    def test_lemma_guard_and_flags(self, capsys, argv, expected):
+        assert run(capsys, "verify", "lemma", *argv) == (expected, "")
+
     @pytest.mark.parametrize("maps", ["phi3..phi1", ",", ""])
     def test_empty_map_list_is_usage_error(self, capsys, maps):
         code, out = run(capsys, "verify", "conj1", "--n", "3", "--maps", maps)
@@ -447,6 +472,7 @@ CAMPAIGN_CASES = {
     "torsion": (("--n", "3", "--s", "1"), 0),
     "vt1": (("--n", "5"), 0),
     "helberg-self": (("--n", "6", "--q", "2", "--s", "1"), 0),
+    "lemma": (("--n", "10", "--s", "2"), 0),
 }
 TABLE_CASES = {
     "table2": (),
@@ -478,13 +504,42 @@ def test_registry_cases_cover_every_key():
     ids=[f"verify-{key}" for key in CAMPAIGN_CASES] + [f"tables-{key}" for key in TABLE_CASES],
 )
 def test_registry_entry_runs_alike_for_any_worker_count(capsys, argv, expected):
-    for fmt in ("text", "json"):
+    for fmt in ("text", "json", "csv"):
         code, seq = run(capsys, *argv, "--format", fmt, "--workers", "1")
         assert code == expected
         assert seq
         code, par = run(capsys, *argv, "--format", fmt, "--workers", "2")
         assert code == expected
         assert par == seq
+
+
+@pytest.mark.parametrize(
+    "argv,expected,message",
+    [
+        (("verify", "thm1", "--n", "8000", "--s", "1"), 3, "enumeration of 4^8000 words"),
+        (("tables", "table7", "--n", "20000"), 3, "enumeration of 2^40000 words"),
+        (("tables", "table10", "--n", "100000", "--a", "0"), 3, "enumeration of 4^100000"),
+        (("tables", "bounds", "--n", "3000000"), 2, "overflows a float at n = 3000000"),
+        (
+            ("tables", "table13", "--n", "21", "--s", "2", "--a", "0", "--max-enum", "100"),
+            2,
+            "binary length must be even to invert the map",
+        ),
+    ],
+)
+def test_oversized_request_stops_before_big_integer_work(capsys, argv, expected, message):
+    # Each guard fires before any weight, bound or power of q is built, so
+    # the run stays small and the message prints no huge number.
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (expected, "")
+    assert message in captured.err
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from naisargik import (
     cardinality_upper_bound,
     check_deletion_correcting,
     coefficient,
-    coefficient_lemma_report,
     helberg_census,
     helberg_classes,
     helberg_code,
@@ -20,6 +19,7 @@ from naisargik import (
     qary_vt_census,
     reduction_code,
     torsion_code,
+    verify_coefficient_lemma,
     weight_sequence,
 )
 from conftest import (
@@ -127,17 +127,17 @@ class TestHelbergCode:
 class TestCensus:
     def test_top_groups(self):
         census = helberg_census(4, 4, 1)
-        assert census.m == 121
-        assert census.max_count() == 5
-        assert census.residues_with(5) == (13, 40)
-        assert census.residues_with(4) == (0, 12, 14, 26, 27, 39, 41, 53)
-        assert sum(census.counts.values()) == 256
+        assert weight_sequence(4, 4, 1).modulus == 121
+        assert max(census.values()) == 5
+        assert tuple(a for a, c in census.items() if c == 5) == (13, 40)
+        assert tuple(a for a, c in census.items() if c == 4) == (0, 12, 14, 26, 27, 39, 41, 53)
+        assert sum(census.values()) == 256
 
     def test_binary_two_deletion_census(self):
         census = helberg_census(10, 2, 2)
-        assert census.max_count() == 8
-        assert census.residues_with(8) == (66,)
-        assert sum(census.counts.values()) == 1024
+        assert max(census.values()) == 8
+        assert tuple(a for a, c in census.items() if c == 8) == (66,)
+        assert sum(census.values()) == 1024
 
 
 def test_coefficient_values():
@@ -153,24 +153,29 @@ def test_coefficient_values():
 
 @pytest.mark.parametrize("n,q,s", [(6, 4, 1), (8, 4, 3), (6, 4, 2)])
 def test_lemma_families_hold_for_quaternary_weights(n, q, s):
-    report = coefficient_lemma_report(n, q, s)
-    assert report.all_hold, report.violations
+    result = verify_coefficient_lemma(n, q, s)
+    assert result.passed, result.to_dict()
+
+
+def lemma_cells(n, q, s):
+    """The lemma campaign's cells by family: monotone, single_gap, paired_gap."""
+    return {cell.label: cell for cell in verify_coefficient_lemma(n, q, s).cells}
 
 
 def test_paired_gap_holds_for_binary_weights():
-    report = coefficient_lemma_report(10, 2, 2)
-    assert report.paired_gap
+    cells = lemma_cells(10, 2, 2)
+    assert cells["paired_gap"].passed
     # Strict coefficient monotonicity needs q >= 3: at q = 2 consecutive
     # coefficients tie (C_3 = C_2 = 2), so the other two families fail.
-    assert not report.monotone
-    assert any(v.startswith("C_3") for v in report.violations)
+    assert not cells["monotone"].passed
+    assert any(v.startswith("C_3") for v in cells["monotone"].detail["violations"])
 
 
 def test_lemma_families_hold_across_grid():
     for s in range(1, 7):
         for n in (1, 2, 5, 10):
-            assert coefficient_lemma_report(n, 4, s).all_hold
-            assert coefficient_lemma_report(n, 2, s).paired_gap
+            assert verify_coefficient_lemma(n, 4, s).passed
+            assert lemma_cells(n, 2, s)["paired_gap"].passed
 
 
 class TestBounds:
@@ -215,8 +220,8 @@ def test_census_partitions_the_space(grid, s):
     n, q = grid
     w = weight_sequence(n, q, s)
     census = helberg_census(n, q, s)
-    assert census.m == w.modulus
-    assert census.counts == enumerated_census(n, q, lambda x: moment(x, w) % w.modulus)
+    assert max(census) < w.modulus
+    assert census == enumerated_census(n, q, lambda x: moment(x, w) % w.modulus)
 
 
 @settings(max_examples=20, deadline=None)
@@ -224,9 +229,10 @@ def test_census_partitions_the_space(grid, s):
 def test_census_counts_beyond_enumeration(grid, s):
     n, q = grid
     census = helberg_census(n, q, s)
-    assert sum(census.counts.values()) == q**n
-    assert list(census.counts) == sorted(census.counts)
-    assert all(0 <= a < census.m and c > 0 for a, c in census.counts.items())
+    m = weight_sequence(n, q, s).modulus
+    assert sum(census.values()) == q**n
+    assert list(census) == sorted(census)
+    assert all(0 <= a < m and c > 0 for a, c in census.items())
     vt = qary_vt_census(n, q)
     assert sum(vt.values()) == q**n
     assert min(vt.values()) >= 0
