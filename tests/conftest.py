@@ -35,6 +35,16 @@ def least_colliding_pair(words, s):
     return None
 
 
+def lcs_length(x, y):
+    """Textbook dynamic program for the longest common subsequence length."""
+    row = [0] * (len(y) + 1)
+    for a in x:
+        prev = row[:]
+        for j, b in enumerate(y, 1):
+            row[j] = prev[j - 1] + 1 if a == b else max(prev[j], row[j - 1])
+    return row[-1]
+
+
 def _check_bits(*bits):
     for b in bits:
         if b not in (0, 1):

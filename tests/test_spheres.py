@@ -6,12 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naisargik import (
+    CorrectionReport,
     ResourceLimitError,
     check_deletion_correcting,
+    helberg_classes,
+    naisargik_map,
     sphere_collisions,
     sphere_members,
 )
-from conftest import sphere_by_index_subsets, words_strategy
+from naisargik import spheres
+from conftest import (
+    lcs_length,
+    least_colliding_pair,
+    sphere_by_index_subsets,
+    words_strategy,
+)
 
 
 def test_single_deletions_collapses_repeats():
@@ -214,7 +223,9 @@ class TestCorrectionCheck:
             check_deletion_correcting({(0, 1), (0, 1, 0)}, 1)
 
     def test_empty_codebook_passes(self):
-        assert check_deletion_correcting(set(), 1).ok
+        for s in (0, 1, 5):
+            assert check_deletion_correcting(set(), s).ok
+            assert check_deletion_correcting(set(), s, cap=0).ok
 
     def test_report_requires_witness_exactly_on_failure(self):
         from naisargik import CorrectionReport
@@ -223,3 +234,127 @@ class TestCorrectionCheck:
             CorrectionReport(ok=False, witness=None)
         with pytest.raises(ValueError):
             CorrectionReport(ok=True, witness=((0,), (1,), ()))
+
+
+def oracle_report(code, s):
+    """The report the brute-force oracle implies: its least pair and the
+    smallest member the pair's spheres share."""
+    found = least_colliding_pair(code, s)
+    if found is None:
+        return CorrectionReport(ok=True)
+    x, y, shared = found
+    return CorrectionReport(ok=False, witness=(x, y, min(shared)))
+
+
+def hashed(code, s, monkeypatch):
+    """Whether ``check_deletion_correcting`` decides ``code`` by hashing."""
+    calls = []
+    real = spheres.sphere_collisions
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            spheres, "sphere_collisions", lambda *args: calls.append(args) or real(*args)
+        )
+        check_deletion_correcting(code, s)
+    return bool(calls)
+
+
+#: A class for each route of the check at s = 1 and 2: two words go by
+#: pairwise LCS, all 64 binary words of length 6 by hashing sphere members.
+ROUTE_CLASSES = {
+    "pairs": [(0, 1, 0, 1, 1, 0), (1, 1, 0, 0, 1, 0)],
+    "hashing": list(itertools.product(range(2), repeat=6)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_CLASSES))
+class TestBothRoutesKeepTheErrorContract:
+    def test_class_takes_its_route(self, route, monkeypatch):
+        for s in (1, 2):
+            assert hashed(ROUTE_CLASSES[route], s, monkeypatch) == (route == "hashing")
+
+    @pytest.mark.parametrize("s", [-1, 7])
+    def test_s_out_of_range(self, route, s):
+        with pytest.raises(ValueError, match=f"deletion count {s} out of range for length 6"):
+            check_deletion_correcting(ROUTE_CLASSES[route], s)
+
+    def test_symbol_beyond_a_byte(self, route):
+        code = ROUTE_CLASSES[route][:-1] + [(0, 1, 0, 1, 256, 0)]
+        with pytest.raises(ValueError, match="symbols in range\\(256\\), not 256"):
+            check_deletion_correcting(code, 1)
+
+    def test_mixed_lengths(self, route):
+        with pytest.raises(ValueError, match="single word length"):
+            check_deletion_correcting(ROUTE_CLASSES[route] + [(0, 1, 0)], 1)
+
+    def test_sphere_cap(self, route):
+        # One sphere at n = 6, s = 2 takes C(6, 2) = 15 index subsets.
+        with pytest.raises(ResourceLimitError, match="length-6 word at s=2 exceeds cap 14"):
+            check_deletion_correcting(ROUTE_CLASSES[route], 2, cap=14)
+
+    def test_member_cap_binds_only_hashing(self, route):
+        # Every sphere fits C(6, 1) = 6, but each class's spheres hold more
+        # distinct members than that between them.
+        code = ROUTE_CLASSES[route]
+        with pytest.raises(ResourceLimitError, match="distinct s=1 sphere members exceed cap 6"):
+            sphere_collisions(code, 1, cap=6)
+        if route == "hashing":
+            with pytest.raises(ResourceLimitError, match="distinct"):
+                check_deletion_correcting(code, 1, cap=6)
+        else:
+            assert check_deletion_correcting(code, 1, cap=6) == check_deletion_correcting(code, 1)
+
+
+def codebooks(max_words=40, max_len=8):
+    """Random (code, s): 2 to max_words distinct words of one length
+    n <= max_len over Z_q, q in {2, 3, 4}, and s <= min(3, n).  About a
+    quarter of the draws are large enough to take the hashing route."""
+
+    def build(q, n):
+        word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+        return st.tuples(
+            st.lists(word, min_size=2, max_size=max_words, unique=True),
+            st.integers(0, min(3, n)),
+        )
+
+    return st.tuples(st.integers(2, 4), st.integers(1, max_len)).flatmap(lambda qn: build(*qn))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codebooks())
+def test_report_matches_least_colliding_pair(code_s):
+    code, s = code_s
+    assert check_deletion_correcting(code, s) == oracle_report(code, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codebooks())
+def test_correction_iff_no_pair_has_a_long_common_subsequence(code_s):
+    # Levenshtein (1966): two length-n words' t-deletion spheres meet exactly
+    # when their LCS has length at least n - t.
+    code, t = code_s
+    close = any(
+        lcs_length(x, y) >= len(x) - t for x, y in itertools.combinations(code, 2)
+    )
+    assert check_deletion_correcting(code, t).ok == (not close)
+
+
+def test_hashing_route_case_largest_class_of_h_10_2_1(monkeypatch):
+    _, classes = helberg_classes(10, 2, 1)
+    code = max(classes.values(), key=len)
+    assert len(code) == 94
+    assert hashed(code, 1, monkeypatch)
+    assert check_deletion_correcting(code, 1) == oracle_report(code, 1) == CorrectionReport(ok=True)
+
+
+def test_pair_route_case_phi8_images_of_h_5_4_1(monkeypatch):
+    _, classes = helberg_classes(5, 4, 1)
+    code = [naisargik_map("phi8").apply(w) for w in classes[0]]
+    assert len(code) == 4
+    assert not hashed(code, 2, monkeypatch)
+    report = check_deletion_correcting(code, 2)
+    assert report == oracle_report(code, 2)
+    assert report.witness == (
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
+    )
