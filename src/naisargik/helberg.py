@@ -12,12 +12,14 @@ unbounded, so the weight recursion cannot silently wrap at any desk scale.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, product
 from math import factorial
 from typing import Iterator
 
+from .maps import SymbolMap
 from .words import (
     DEFAULT_MAX_ENUM,
     Word,
@@ -108,31 +110,87 @@ def moment(word: Word, weights: WeightSequence) -> int:
     return sum(v * x for v, x in zip(weights.values, word))
 
 
-def helberg_code(
-    n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
-) -> frozenset[Word]:
-    """All length-n words whose moment is congruent to a mod m."""
-    guard_word_space(n, q, s, limit, a)
-    w = weight_sequence(n, q, s)
-    return frozenset(
-        x for x in iter_words(n, q, limit) if moment(x, w) % w.modulus == a
+def _residue_stream(steps: list[list[int]], m: int) -> Iterator[int]:
+    """(sum of steps[p][x_p]) mod m for every word x, in lexicographic order.
+
+    Position p contributes steps[p][x] for letter x.  The positions split into
+    a head and a tail, whose prefix sums are expanded separately; each word's
+    residue is (head + tail) % m, one tail list at a time, so at most
+    O(q^ceil(n/2)) sums are held at once, never q^n.
+    """
+
+    def prefix_sums(rows: list[list[int]]) -> list[int]:
+        sums = [0]
+        for row in rows:
+            sums = [t + d for t in sums for d in row]
+        return sums
+
+    cut = len(steps) // 2
+    tail = [t % m for t in prefix_sums(steps[cut:])]
+    return chain.from_iterable(
+        [(h + t) % m for t in tail] for h in prefix_sums(steps[:cut])
     )
 
 
+def helberg_code(
+    n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
+) -> frozenset[Word]:
+    """All length-n words whose moment is congruent to a mod m.
+
+    The moments come from the residue stream that ``helberg_classes`` reads.
+    """
+    guard_word_space(n, q, s, limit, a)
+    w = weight_sequence(n, q, s)
+    steps = [[x * vi for x in range(q)] for vi in w.values[:-1]]
+    residues = _residue_stream(steps, w.modulus)
+    return frozenset(x for x, r in zip(iter_words(n, q, limit), residues) if r == a)
+
+
 def helberg_classes(
-    n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM
+    n: int,
+    q: int,
+    s: int,
+    limit: int = DEFAULT_MAX_ENUM,
+    smap: SymbolMap | None = None,
 ) -> tuple[int, dict[int, tuple[Word, ...]]]:
     """One exhaustive scan of Z_q^n bucketed by moment residue.
 
     Returns (m, classes); residues with no codeword are absent from the
-    mapping.  Words are sorted within each class.
+    mapping.  Words are sorted within each class.  The residues come from
+    ``_residue_stream`` with symbol x at position i adding x * v_i, so no
+    word's moment is evaluated on its own.
+
+    With ``smap`` the classes are read through the map at enumeration, and
+    each class holds the words the map pairs with H(n, q, s, a):
+    - q = 4: the binary images, from Z_2^(2n), where the bit pair at letter
+      i adds smap^-1(pair) * v_i;
+    - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
+      position i adds b1 * v_(2i-1) + b2 * v_(2i) for (b1, b2) = smap(x).
     """
+    if smap is not None:
+        if q not in (2, 4):
+            raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
+        if q == 2 and n % 2:
+            raise ValueError("binary length must be even to invert the map")
     guard_word_space(n, q, s, limit)
     w = weight_sequence(n, q, s)
     m = w.modulus
-    buckets: dict[int, list[Word]] = {}
-    for x in iter_words(n, q, limit):
-        buckets.setdefault(moment(x, w) % m, []).append(x)
+    v = w.values[:-1]
+    if smap is None:
+        steps = [[x * vi for x in range(q)] for vi in v]
+        words = iter_words(n, q, limit)
+    elif q == 4:
+        symbols = [smap.table.index(pair) for pair in product((0, 1), repeat=2)]
+        steps = [[x * vi for x in symbols] for vi in v]
+        words = iter_words(2 * n, 2, limit)
+    else:
+        steps = [
+            [b1 * v1 + b2 * v2 for b1, b2 in smap.table] for v1, v2 in zip(v[::2], v[1::2])
+        ]
+        words = iter_words(n // 2, 4, limit)
+    buckets: defaultdict[int, list[Word]] = defaultdict(list)
+    for x, a in zip(words, _residue_stream(steps, m)):
+        buckets[a].append(x)
     return m, {a: tuple(ws) for a, ws in sorted(buckets.items())}
 
 

@@ -143,19 +143,20 @@ def _correction_cells(
     cell: Callable[[tuple], CampaignCell],
     check_s: int | None,
     workers: int,
-    transform: Callable[[Word], Word] | None = None,
     min_size: int = 2,
 ) -> tuple[CampaignCell, ...]:
     """Run ``cell`` on ``(label, words, check_s)`` for each class of ``min_size`` words or more.
 
     Smaller classes are trivial: they get no cell, so a campaign tallies them
-    as its residues minus its cells.  ``transform`` maps each codeword before
-    the cell sees it.  A class keyed by a residue pair is labelled ``a=..,b=..``.
+    as its residues minus its cells.  The cell sees each class as built: a
+    campaign over mapped words builds its classes through the map
+    (``helberg_classes(..., smap)``), so no codeword is mapped here.  A class
+    keyed by a residue pair is labelled ``a=..,b=..``.
     """
     inputs = [
         (
             f"a={key[0]},b={key[1]}" if isinstance(key, tuple) else f"a={key}",
-            [transform(w) for w in ws] if transform else ws,
+            ws,
             check_s,
         )
         for key, ws in classes.items()
@@ -190,8 +191,8 @@ def verify_image_correction(
     the summary instead of producing cells.
     """
     smap = smap or naisargik_map("phi9")
-    m, classes = helberg_classes(n, 4, s, limit)
-    cells = _correction_cells(classes, _correction_cell, s + 1, workers, smap.apply)
+    m, classes = helberg_classes(n, 4, s, limit, smap)
+    cells = _correction_cells(classes, _correction_cell, s + 1, workers)
     return CampaignResult(
         campaign="image-correction",
         params={"n": n, "q": 4, "s": s, "check_s": s + 1, "map": smap.name},
@@ -211,11 +212,9 @@ def verify_inverse_correction(
 
     ``n_bits`` must be even so every codeword has a quaternary preimage.
     """
-    if n_bits % 2:
-        raise ValueError("binary length must be even to invert the map")
     smap = smap or naisargik_map("phi9")
-    m, classes = helberg_classes(n_bits, 2, s, limit)
-    cells = _correction_cells(classes, _correction_cell, s // 2, workers, smap.invert)
+    m, classes = helberg_classes(n_bits, 2, s, limit, smap)
+    cells = _correction_cells(classes, _correction_cell, s // 2, workers)
     return CampaignResult(
         campaign="inverse-correction",
         params={"n": n_bits, "q": 2, "s": s, "check_s": s // 2, "map": smap.name},

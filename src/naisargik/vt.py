@@ -14,6 +14,7 @@ every residue formula, 0-based only inside loops.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,14 +75,56 @@ def qary_vt_residues(word: Word, q: int) -> tuple[int, int]:
     return a, b
 
 
+def _vt_codes(start: int, length: int, q: int, step: int) -> list[int]:
+    """A * step + B for the words of Z_q^length in lexicographic order.
+
+    The words sit at 1-based positions start+1..start+length; A sums the
+    positions i of their own set signature bits [x_i <= x_(i+1)], and B is
+    their symbol sum.  The expansion appends one symbol at a time, and
+    prefix index j ends in symbol j % q.
+    """
+    codes = list(range(q)) if length else [0]
+    for i in range(start + 1, start + length):
+        rows = [[y + i * step * (c <= y) for y in range(q)] for c in range(q)]
+        codes = [code + d for j, code in enumerate(codes) for d in rows[j % q]]
+    return codes
+
+
 def qary_vt_classes(
     n: int, q: int, limit: int = DEFAULT_MAX_ENUM
 ) -> dict[tuple[int, int], tuple[Word, ...]]:
-    """Bucket all of Z_q^n by residue pair; words sorted within each class."""
-    buckets: dict[tuple[int, int], list[Word]] = {}
-    for w in iter_words(n, q, limit):
-        buckets.setdefault(qary_vt_residues(w, q), []).append(w)
-    return {res: tuple(ws) for res, ws in sorted(buckets.items())}
+    """Bucket all of Z_q^n by residue pair; words sorted within each class.
+
+    The pairs come from a stream, as ``helberg_classes`` reads its residues.
+    The positions split into a head (1..h, h = n // 2) and a tail (the rest).
+    A word's unreduced signature checksum A and symbol sum B are the head's
+    plus the tail's, and A gains h when the boundary bit
+    [last(head) <= first(tail)] is set.  The code A * step + B, with step
+    above any symbol sum, indexes a table of (A mod n, B mod q).  At most
+    O(q^(ceil(n/2) + 1)) codes are held at once, and no word is scored on
+    its own.
+    """
+    words = iter_words(n, q, limit)
+    if n < 1:
+        raise ValueError("residues need length >= 1")
+    step = (q - 1) * n + 1
+    key_of = [
+        (a % n) * q + b % q for a in range(n * (n - 1) // 2 + 1) for b in range(step)
+    ]
+    cut = n // 2
+    tail = _vt_codes(cut, n - cut, q, step)
+    block = q ** (n - cut - 1)  # tail index k starts with symbol k // block
+    tails = [
+        [t + cut * step * (k // block >= c) for k, t in enumerate(tail)] for c in range(q)
+    ]
+    stream = itertools.chain.from_iterable(
+        [key_of[h + t] for t in tails[j % q]]
+        for j, h in enumerate(_vt_codes(0, cut, q, step))
+    )
+    buckets: defaultdict[int, list[Word]] = defaultdict(list)
+    for w, key in zip(words, stream):
+        buckets[key].append(w)
+    return {divmod(key, q): tuple(ws) for key, ws in sorted(buckets.items())}
 
 
 def qary_vt_code(

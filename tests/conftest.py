@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from naisargik import weight_sequence
+from naisargik import moment, qary_vt_residues, weight_sequence
 
 
 def sphere_by_index_subsets(word, s):
@@ -43,6 +43,30 @@ def lcs_length(x, y):
         for j, b in enumerate(y, 1):
             row[j] = prev[j - 1] + 1 if a == b else max(prev[j], row[j - 1])
     return row[-1]
+
+
+def helberg_classes_by_moment(n, q, s, smap=None):
+    """Per-word oracle for ``helberg_classes``: bucket Z_q^n by moment residue.
+
+    With ``smap`` each class is mapped word by word, by ``apply`` at q = 4
+    and by ``invert`` at q = 2, and sorted.
+    """
+    w = weight_sequence(n, q, s)
+    buckets = {}
+    for x in all_words(n, q):
+        buckets.setdefault(moment(x, w) % w.modulus, []).append(x)
+    if smap is not None:
+        mapped = smap.apply if q == 4 else smap.invert
+        buckets = {a: sorted(map(mapped, ws)) for a, ws in buckets.items()}
+    return w.modulus, {a: tuple(ws) for a, ws in sorted(buckets.items())}
+
+
+def qary_vt_classes_by_residues(n, q):
+    """Per-word oracle for ``qary_vt_classes``: bucket Z_q^n by residue pair."""
+    buckets = {}
+    for x in all_words(n, q):
+        buckets.setdefault(qary_vt_residues(x, q), []).append(x)
+    return {res: tuple(ws) for res, ws in sorted(buckets.items())}
 
 
 def _check_bits(*bits):

@@ -289,6 +289,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize(
+        "argv", [("conj1", "--n", "0"), ("vt1", "--n", "0", "--q", "4")]
+    )
+    def test_empty_vt_words_are_usage_errors(self, capsys, argv):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "residues need length >= 1" in captured.err
+
     def test_alphabet_beyond_digits_is_usage_error(self, capsys):
         code, out = run(capsys, "verify", "vt1", "--n", "2", "--q", "11")
         assert code == 2

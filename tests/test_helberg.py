@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from naisargik import (
     ResourceLimitError,
+    all_bijections,
     cardinality_lower_bound,
     cardinality_upper_bound,
     check_deletion_correcting,
@@ -15,8 +16,10 @@ from naisargik import (
     helberg_classes,
     helberg_code,
     moment,
+    naisargik_map,
     parse_word,
     qary_vt_census,
+    qary_vt_classes,
     reduction_code,
     torsion_code,
     verify_coefficient_lemma,
@@ -25,6 +28,7 @@ from naisargik import (
 from conftest import (
     enumerated_census,
     grids_beyond_oracle,
+    helberg_classes_by_moment,
     modulus_from_definition,
     oracle_grids,
 )
@@ -122,6 +126,61 @@ class TestHelbergCode:
             _, classes = helberg_classes(n, q, s)
             for words in classes.values():
                 assert check_deletion_correcting(words, s).ok
+
+
+class TestClasses:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_equal_the_per_word_scan(self, q, s):
+        # Odd and even lengths both run: the residue stream's head is n // 2
+        # positions and its tail the rest.
+        for n in range(1, 9):
+            if q**n > 4**6:
+                break
+            got = helberg_classes(n, q, s)
+            expected = helberg_classes_by_moment(n, q, s)
+            assert got == expected
+            assert list(got[1]) == list(expected[1])
+            for a in (min(expected[1]), max(expected[1])):
+                assert helberg_code(n, q, s, a) == set(expected[1][a])
+
+    @pytest.mark.parametrize("n,q,s", [(4, 4, 1), (3, 4, 2), (8, 2, 2), (8, 2, 3)])
+    def test_map_classes_equal_the_mapped_scan(self, n, q, s):
+        # q = 4: images of each class; q = 2: preimages, for all 24 maps.
+        for smap in all_bijections():
+            got = helberg_classes(n, q, s, smap=smap)
+            expected = helberg_classes_by_moment(n, q, s, smap)
+            assert got == expected, smap.name
+            assert list(got[1]) == list(expected[1])
+
+    def test_map_needs_an_even_binary_length(self):
+        phi9 = naisargik_map("phi9")
+        with pytest.raises(ValueError, match="binary length must be even to invert the map"):
+            helberg_classes(7, 2, 1, smap=phi9)
+
+    @pytest.mark.parametrize("q", [3, 5, 8])
+    def test_map_needs_a_binary_or_quaternary_code(self, q):
+        with pytest.raises(ValueError):
+            helberg_classes(4, q, 1, smap=naisargik_map("phi9"))
+
+
+# Peaks of the per-word builders the residue streams replaced, measured with
+# tracemalloc on Python 3.11.7: helberg_classes(8, 4, 2) 24.41 MB and
+# qary_vt_classes(8, 4) 7.91 MB.  The streams hold O(q^ceil(n/2)) sums; a
+# list of all q^n residues measured 8.33 MB (+5.3 %) on the VT builder, and
+# 188.3 MB against 174.6 MB at helberg_classes(10, 4, 1).
+@pytest.mark.parametrize(
+    "build,args,parent_mb",
+    [(helberg_classes, (8, 4, 2), 24.41), (qary_vt_classes, (8, 4), 7.91)],
+)
+def test_class_builders_hold_no_more_than_the_per_word_scan(build, args, parent_mb):
+    tracemalloc.start()
+    try:
+        build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * parent_mb * 1e6
 
 
 class TestCensus:

@@ -15,6 +15,7 @@ from naisargik import (
     naisargik_map,
     parse_word,
     qary_vt_census,
+    qary_vt_classes,
     qary_vt_code,
     qary_vt_residues,
     same_residue_witness,
@@ -26,6 +27,7 @@ from conftest import (
     enumerated_census,
     least_colliding_pair,
     phi8_signature_bit,
+    qary_vt_classes_by_residues,
 )
 from golden import RESIDUE_DIFF_ROWS, VT_1_2_IMAGES, VT_4_4_CENSUS
 
@@ -72,6 +74,26 @@ def test_binary_classes_guards():
             helberg_classes(n, 2, 1, 1000)
     with pytest.raises(ResourceLimitError):
         helberg_classes(12, 2, 1, 1000)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_qary_classes_equal_the_per_word_scan(n, q):
+    got = qary_vt_classes(n, q)
+    expected = qary_vt_classes_by_residues(n, q)
+    assert got == expected
+    assert list(got) == list(expected)
+
+
+def test_qary_classes_guards():
+    with pytest.raises(ValueError, match="residues need length >= 1"):
+        qary_vt_classes(0, 4)
+    with pytest.raises(ValueError, match="word length must be >= 0"):
+        qary_vt_classes(-1, 4)
+    with pytest.raises(ValueError, match="alphabet size must be >= 2"):
+        qary_vt_classes(3, 1)
+    with pytest.raises(ResourceLimitError):
+        qary_vt_classes(9, 4, 1000)
 
 
 def test_params_validation():
