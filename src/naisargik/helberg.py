@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product
 from math import factorial
+from operator import add
 from typing import Iterator
 
 from .maps import SymbolMap
@@ -191,23 +192,22 @@ def helberg_classes(
     buckets: defaultdict[int, list[Word]] = defaultdict(list)
     for x, a in zip(words, _residue_stream(steps, m)):
         buckets[a].append(x)
-    return m, {a: tuple(ws) for a, ws in sorted(buckets.items())}
+    return m, {a: tuple(buckets[a]) for a in sorted(buckets)}
 
 
-def helberg_census(
-    n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM
-) -> dict[int, int]:
+def helberg_census(n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM) -> list[int]:
     """Count the words of Z_q^n per moment residue, without enumerating them.
 
-    Returns the populated residues in increasing order, each mapped to its
-    count; the counts sum to q^n.
+    Returns the m counts indexed by residue, zeros kept; they sum to q^n.
 
     The number of words with moment t is the coefficient of z^t in the
     product over positions of 1 + z^v + z^(2v) + ... + z^((q-1)v), one factor
     per weight v = v_1..v_n.  The product is built one factor at a time as q
-    shifted sums of the previous coefficients, then folded modulo m once.
-    Since v_i <= q^(i-1), every moment is below q^n, so the coefficient list
-    never outgrows the word space that ``limit`` caps.
+    shifted sums of the previous coefficients, modulo z^m - 1: after each
+    factor the coefficients from m on are added onto the residues they fold
+    to.  Since (q-1) * v_n < m, one fold per factor suffices and the list
+    never holds more than m + (q-1) * v_n coefficients; the unfolded product
+    has (q-1) * (v_1 + ... + v_n) + 1 >= m of them, so exactly m are returned.
     """
     guard_word_space(n, q, s, limit)
     w = weight_sequence(n, q, s)
@@ -217,15 +217,12 @@ def helberg_census(
         size = len(poly)
         grown = poly + [0] * ((q - 1) * v)
         for shift in range(v, q * v, v):
-            grown[shift : shift + size] = [
-                c + d for c, d in zip(grown[shift : shift + size], poly)
-            ]
+            grown[shift : shift + size] = map(add, grown[shift : shift + size], poly)
+        tail = grown[m:]
+        del grown[m:]
+        grown[: len(tail)] = map(add, grown, tail)
         poly = grown
-    counts = [0] * m
-    for start in range(0, len(poly), m):
-        chunk = poly[start : start + m]
-        counts[: len(chunk)] = [c + d for c, d in zip(counts, chunk)]
-    return {a: c for a, c in enumerate(counts) if c}
+    return poly
 
 
 def coefficient(i: int, weights: WeightSequence) -> int:

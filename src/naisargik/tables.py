@@ -74,7 +74,8 @@ def table3() -> Table:
 
 def table5(n: int = 4, q: int = 4, s: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """Helberg residue census, one row per populated residue."""
-    rows = tuple((str(a), str(c)) for a, c in helberg_census(n, q, s, limit).items())
+    counts = helberg_census(n, q, s, limit)
+    rows = tuple((str(a), str(c)) for a, c in enumerate(counts) if c)
     return Table("table5", ("residue", "count"), rows)
 
 
@@ -97,8 +98,8 @@ def table7(n_values: Iterable[int] = (2, 3, 4, 5, 6), limit: int = DEFAULT_MAX_E
     """
     rows = []
     for n in n_values:
-        max_binary = max(helberg_census(2 * n, 2, 2, limit).values())
-        max_image = max(helberg_census(n, 4, 1, limit).values())
+        max_binary = max(helberg_census(2 * n, 2, 2, limit))
+        max_image = max(helberg_census(n, 4, 1, limit))
         rows.append(
             (
                 str(n),
@@ -135,8 +136,8 @@ def table8(
     rows = []
     for n, s in cells:
         counts = helberg_census(n, 4, s, limit)
-        top = max(counts.values())
-        residues = " ".join(str(a) for a, c in counts.items() if c == top)
+        top = max(counts)
+        residues = " ".join(str(a) for a, c in enumerate(counts) if c == top)
         rows.append((str(n), str(s), str(top), residues))
     return Table("table8", ("n", "s", "count", "residues"), tuple(rows))
 
@@ -154,7 +155,7 @@ def table9(
     smap = naisargik_map("phi9")
     if a is None:
         counts = helberg_census(n, 2, s, limit)
-        a = max(counts, key=counts.get)
+        a = counts.index(max(counts))
     code = sorted(helberg_code(n, 2, s, a, limit))
     rows = tuple((format_word(w), format_word(smap.invert(w))) for w in code)
     return Table("table9", ("codeword", "image"), rows)

@@ -124,7 +124,7 @@ def qary_vt_classes(
     buckets: defaultdict[int, list[Word]] = defaultdict(list)
     for w, key in zip(words, stream):
         buckets[key].append(w)
-    return {divmod(key, q): tuple(ws) for key, ws in sorted(buckets.items())}
+    return {divmod(key, q): tuple(buckets[key]) for key in sorted(buckets)}
 
 
 def qary_vt_code(

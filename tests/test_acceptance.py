@@ -112,11 +112,12 @@ def test_criterion_02_helberg_census():
     start = time.perf_counter()
     census = helberg_census(4, 4, 1)
     elapsed = time.perf_counter() - start
-    assert tuple(a for a, c in census.items() if c == 5) == HELBERG_4_4_1_TOP[5]
+    assert len(census) == weight_sequence(4, 4, 1).modulus
+    assert tuple(a for a, c in enumerate(census) if c == 5) == HELBERG_4_4_1_TOP[5]
     for residue in HELBERG_4_4_1_TOP[4]:
         assert census[residue] == 4
-    assert tuple(a for a, c in census.items() if c == 4) == HELBERG_4_4_1_FOURS_RECOMPUTED
-    assert sum(census.values()) == 4**4
+    assert tuple(a for a, c in enumerate(census) if c == 4) == HELBERG_4_4_1_FOURS_RECOMPUTED
+    assert sum(census) == 4**4
     assert elapsed < 1.0
     report(2, True, "H(4,4,1,.) census: 5s at {13,40}, listed 4s confirmed")
 
@@ -252,7 +253,7 @@ def test_criterion_09_residue_bijection():
 
 def max_binary_and_image(n: int) -> tuple[int, int]:
     """max |H(2n,2,2,.)| and max |H(n,4,1,.)|, the second also max |phi9(H(n,4,1,.))|."""
-    return max(helberg_census(2 * n, 2, 2).values()), max(helberg_census(n, 4, 1).values())
+    return max(helberg_census(2 * n, 2, 2)), max(helberg_census(n, 4, 1))
 
 
 def test_criterion_10_cardinality_and_bounds():
@@ -260,6 +261,9 @@ def test_criterion_10_cardinality_and_bounds():
     assert max_binary_and_image(3) == (3, 3)
     assert max_binary_and_image(4) == (5, 5)
     assert max_binary_and_image(6) == (11, 11)
+    for n in (2, 3, 4, 6):
+        for length, q, s in ((2 * n, 2, 2), (n, 4, 1)):
+            assert len(helberg_census(length, q, s)) == weight_sequence(length, q, s).modulus
     # Bound columns come from the implemented formulas, checked against
     # independent arithmetic to 1e-12 relative tolerance.
     assert float(cardinality_upper_bound(4, 4, 1)) == pytest.approx(64 / 3, rel=1e-12)
