@@ -39,7 +39,6 @@ from .verify import (
     verify_vt_correction,
 )
 from .vt import (
-    EqualWeightScan,
     binary_vt_code,
     binary_vt_residue,
     equal_weight_scan,

@@ -26,6 +26,7 @@ from .tables import Table
 from .verify import (
     CampaignCell,
     CampaignResult,
+    _run_cells,
     reduction_analysis,
     torsion_analysis,
     verify_coefficient_lemma,
@@ -35,7 +36,7 @@ from .verify import (
     verify_residue_bijection,
     verify_vt_correction,
 )
-from .vt import binary_vt_code, equal_weight_scan, qary_vt_code
+from .vt import binary_vt_code, equal_weight_scan, guard_vt_space, qary_vt_code
 from .words import (
     DEFAULT_MAX_ENUM,
     ResourceLimitError,
@@ -201,22 +202,27 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_campaign(n: int, names: tuple[str, ...], limit: int) -> CampaignResult:
-    """Equal-weight scans over several maps, packaged as one campaign."""
-    cells = []
-    total_pairs = 0
-    for scan in equal_weight_scan(n, [naisargik_map(name) for name in names], limit):
-        total_pairs += scan.intersecting_pairs
-        detail: dict = {"intersecting_pairs": scan.intersecting_pairs}
-        if scan.counterexample is not None:
-            x, y = scan.counterexample
-            detail["witness"] = {"x": format_word(x), "y": format_word(y)}
-        cells.append(CampaignCell(label=scan.map_name, passed=scan.passed, detail=detail))
+def _equal_weight_cell(args: tuple) -> CampaignCell:
+    n, name, limit = args
+    pairs, bad = equal_weight_scan(n, naisargik_map(name), limit)
+    detail: dict = {"intersecting_pairs": pairs}
+    if bad is not None:
+        detail["witness"] = {"x": format_word(bad[0]), "y": format_word(bad[1])}
+    return CampaignCell(label=name, passed=bad is None, detail=detail)
+
+
+def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> CampaignResult:
+    """Equal-weight scans, one cell per map, each cell building its own image classes.
+
+    Z_4^n is guarded here first, so a refused n starts no worker.
+    """
+    guard_vt_space(n, 4, limit)
+    cells = _run_cells([(n, name, limit) for name in names], _equal_weight_cell, workers)
     return CampaignResult(
         campaign="equal-weight",
         params={"n": n, "maps": ",".join(names)},
         cells=tuple(cells),
-        summary={"intersecting_pairs": total_pairs},
+        summary={"intersecting_pairs": sum(c.detail["intersecting_pairs"] for c in cells)},
     )
 
 
@@ -236,7 +242,7 @@ CAMPAIGNS: dict[str, Callable[..., CampaignResult]] = {
         n, s, _opt_map(map), limit, workers
     ),
     "conj1": lambda n, maps=None, *, limit, workers: _scan_campaign(
-        n, VT_MAP_NAMES if maps is None else _parse_map_list(maps), limit
+        n, VT_MAP_NAMES if maps is None else _parse_map_list(maps), limit, workers
     ),
     "conj2": lambda n, *, limit, workers: verify_residue_bijection(n, limit),
     "reduction": lambda n, s, check_s=None, *, limit, workers: reduction_analysis(

@@ -190,11 +190,8 @@ def table12(n: int = 4, s: int = 1, a: int = 13, limit: int = DEFAULT_MAX_ENUM) 
     does not match its own mapping table, hence the note column.
     """
     smap = naisargik_map("phi9")
-    code = sorted(helberg_code(n, 4, s, a, limit))
-    rows = tuple(
-        (format_word(smap.apply(w)), _sphere_cell(smap.apply(w), s + 1), "recomputed")
-        for w in code
-    )
+    images = map(smap.apply, sorted(helberg_code(n, 4, s, a, limit)))
+    rows = tuple((format_word(x), _sphere_cell(x, s + 1), "recomputed") for x in images)
     return Table("table12", ("codeword", "sphere", "note"), rows)
 
 
@@ -217,10 +214,8 @@ def table13(
 def table14(n: int = 4, a: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """1-deletion spheres of the phi8 images of one quaternary VT codebook (a, 2)."""
     smap = naisargik_map("phi8")
-    words = sorted(qary_vt_code(n, 4, a, 2, limit))
-    rows = tuple(
-        (format_word(smap.apply(w)), _sphere_cell(smap.apply(w), 1)) for w in words
-    )
+    images = map(smap.apply, sorted(qary_vt_code(n, 4, a, 2, limit)))
+    rows = tuple((format_word(x), _sphere_cell(x, 1)) for x in images)
     return Table("table14", ("codeword", "sphere"), rows)
 
 

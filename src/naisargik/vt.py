@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from .helberg import helberg_code
 from .maps import SymbolMap
 from .spheres import sphere_collisions
 from .words import (
@@ -40,14 +40,16 @@ def binary_vt_residue(word: Word) -> int:
 def binary_vt_code(
     n: int, a: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
-    """All binary words of length n with checksum a, by exhaustive scan."""
+    """All binary words of length n with checksum a.
+
+    This is the Helberg code H(n, 2, 1, a): its weights are 1..n and its
+    modulus is n + 1.
+    """
     if n < 1:
         raise ValueError("codeword length must be >= 1")
     if not 0 <= a <= n:
         raise ValueError(f"residue {a} not in Z_{n + 1}")
-    return frozenset(
-        w for w in iter_words(n, 2, limit) if binary_vt_residue(w) == a
-    )
+    return helberg_code(n, 2, 1, a, limit)
 
 
 def signature(word: Word) -> tuple[int, ...]:
@@ -75,54 +77,84 @@ def qary_vt_residues(word: Word, q: int) -> tuple[int, int]:
     return a, b
 
 
-def _vt_codes(start: int, length: int, q: int, step: int) -> list[int]:
-    """A * step + B for the words of Z_q^length in lexicographic order.
+def guard_vt_space(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
+    """Refuse Z_q^n as ``ensure_enumerable`` does, then n = 0: the empty word has no residues."""
+    ensure_enumerable(n, q, limit)
+    if n < 1:
+        raise ValueError("residues need length >= 1")
 
-    The words sit at 1-based positions start+1..start+length; A sums the
-    positions i of their own set signature bits [x_i <= x_(i+1)], and B is
-    their symbol sum.  The expansion appends one symbol at a time, and
-    prefix index j ends in symbol j % q.
+
+def _vt_codes(start: int, length: int, symbols: Sequence[int], step: int) -> list[int]:
+    """A * step + B for the words of length ``length`` in lexicographic order.
+
+    Letter p of a word stands for symbol symbols[p].  The words sit at
+    1-based positions start+1..start+length; A sums the positions i of their
+    own set signature bits [x_i <= x_(i+1)], and B is their symbol sum.  The
+    expansion appends one letter at a time, and prefix index j ends in letter
+    j % q.
     """
-    codes = list(range(q)) if length else [0]
+    q = len(symbols)
+    codes = list(symbols) if length else [0]
     for i in range(start + 1, start + length):
-        rows = [[y + i * step * (c <= y) for y in range(q)] for c in range(q)]
+        rows = [[y + i * step * (c <= y) for y in symbols] for c in symbols]
         codes = [code + d for j, code in enumerate(codes) for d in rows[j % q]]
     return codes
 
 
-def qary_vt_classes(
-    n: int, q: int, limit: int = DEFAULT_MAX_ENUM
-) -> dict[tuple[int, int], tuple[Word, ...]]:
-    """Bucket all of Z_q^n by residue pair; words sorted within each class.
+def _vt_stream(
+    n: int, q: int, limit: int, smap: SymbolMap | None = None
+) -> Iterator[tuple[Word, int]]:
+    """Every word of Z_q^n with its key a * q + b, (a, b) its residue pair.
 
-    The pairs come from a stream, as ``helberg_classes`` reads its residues.
     The positions split into a head (1..h, h = n // 2) and a tail (the rest).
     A word's unreduced signature checksum A and symbol sum B are the head's
     plus the tail's, and A gains h when the boundary bit
     [last(head) <= first(tail)] is set.  The code A * step + B, with step
-    above any symbol sum, indexes a table of (A mod n, B mod q).  At most
+    above any symbol sum, indexes a table of keys.  At most
     O(q^(ceil(n/2) + 1)) codes are held at once, and no word is scored on
     its own.
+
+    With ``smap`` (q = 4 only) the words are those of Z_2^(2n), each bit pair
+    p standing for the symbol smap^-1(p): an image is keyed by its preimage.
     """
-    words = iter_words(n, q, limit)
-    if n < 1:
-        raise ValueError("residues need length >= 1")
+    if smap is not None and q != 4:
+        raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
+    guard_vt_space(n, q, limit)
+    if smap is None:
+        symbols: Sequence[int] = range(q)
+        words = iter_words(n, q, limit)
+    else:
+        symbols = [smap.table.index(pair) for pair in itertools.product((0, 1), repeat=2)]
+        words = iter_words(2 * n, 2, limit)
     step = (q - 1) * n + 1
     key_of = [
         (a % n) * q + b % q for a in range(n * (n - 1) // 2 + 1) for b in range(step)
     ]
     cut = n // 2
-    tail = _vt_codes(cut, n - cut, q, step)
-    block = q ** (n - cut - 1)  # tail index k starts with symbol k // block
+    tail = _vt_codes(cut, n - cut, symbols, step)
+    block = q ** (n - cut - 1)  # tail index k starts with letter k // block
     tails = [
-        [t + cut * step * (k // block >= c) for k, t in enumerate(tail)] for c in range(q)
+        [t + cut * step * (symbols[k // block] >= c) for k, t in enumerate(tail)]
+        for c in symbols
     ]
     stream = itertools.chain.from_iterable(
         [key_of[h + t] for t in tails[j % q]]
-        for j, h in enumerate(_vt_codes(0, cut, q, step))
+        for j, h in enumerate(_vt_codes(0, cut, symbols, step))
     )
+    return zip(words, stream)
+
+
+def qary_vt_classes(
+    n: int, q: int, limit: int = DEFAULT_MAX_ENUM, smap: SymbolMap | None = None
+) -> dict[tuple[int, int], tuple[Word, ...]]:
+    """Bucket all of Z_q^n by residue pair; words sorted within each class.
+
+    The pairs come from ``_vt_stream``.  With ``smap`` (q = 4 only) each class
+    holds the binary images of its words, as ``helberg_classes(..., smap)``
+    does, and no word is mapped on its own.
+    """
     buckets: defaultdict[int, list[Word]] = defaultdict(list)
-    for w, key in zip(words, stream):
+    for w, key in _vt_stream(n, q, limit, smap):
         buckets[key].append(w)
     return {divmod(key, q): tuple(buckets[key]) for key in sorted(buckets)}
 
@@ -130,7 +162,7 @@ def qary_vt_classes(
 def qary_vt_code(
     n: int, q: int, a: int, b: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
-    """All length-n words over Z_q with residue pair (a, b), by exhaustive scan."""
+    """All length-n words over Z_q with residue pair (a, b), read from ``_vt_stream``."""
     if n < 1:
         raise ValueError("codeword length must be >= 1")
     if q < 2:
@@ -139,9 +171,8 @@ def qary_vt_code(
         raise ValueError(f"residue {a} not in Z_{n}")
     if not 0 <= b < q:
         raise ValueError(f"residue {b} not in Z_{q}")
-    return frozenset(
-        w for w in iter_words(n, q, limit) if qary_vt_residues(w, q) == (a, b)
-    )
+    key = a * q + b
+    return frozenset(w for w, k in _vt_stream(n, q, limit) if k == key)
 
 
 def qary_vt_census(
@@ -195,59 +226,23 @@ def image_pair_diff(
     return abs(ax - ay), abs(bx - by)
 
 
-@dataclass(frozen=True)
-class EqualWeightScan:
-    """Result of scanning one map for the equal-weight property.
-
-    Within every residue class of the quaternary VT partition, any two mapped
-    codewords with intersecting 1-deletion spheres must have equal Hamming
-    weight.  ``intersecting_pairs`` counts the distinct image pairs whose
-    spheres intersect; ``counterexample`` carries the first violating image
-    pair when the property fails.
-    """
-
-    n: int
-    map_name: str
-    passed: bool
-    classes: int
-    intersecting_pairs: int
-    counterexample: tuple[Word, Word] | None = None
-
-
-def _scan_map(
-    n: int, classes: dict[tuple[int, int], tuple[Word, ...]], smap: SymbolMap
-) -> EqualWeightScan:
-    pairs: set[tuple[Word, Word]] = set()
-    bad: list[tuple[Word, Word]] = []
-    for words in classes.values():
-        images = sorted(smap.apply(w) for w in words)
-        for owners in sphere_collisions(images, 1).values():
-            for x, y in itertools.combinations(owners, 2):
-                pairs.add((x, y))
-                if sum(x) != sum(y):
-                    bad.append((x, y))
-    counterexample = min(bad) if bad else None
-    return EqualWeightScan(
-        n=n,
-        map_name=smap.name,
-        passed=not bad,
-        classes=len(classes),
-        intersecting_pairs=len(pairs),
-        counterexample=counterexample,
-    )
-
-
 def equal_weight_scan(
-    n: int, smaps: Sequence[SymbolMap], limit: int = DEFAULT_MAX_ENUM
-) -> tuple[EqualWeightScan, ...]:
-    """Check the equal-weight property for each map over all of Z_4^n.
+    n: int, smap: SymbolMap, limit: int = DEFAULT_MAX_ENUM
+) -> tuple[int, tuple[Word, Word] | None]:
+    """Check the equal-weight property of one map over all of Z_4^n.
 
-    The residue classes are built once and shared by every map.  Two images
-    share a 1-deletion sphere member iff they land in a common bucket, so the
-    scan never enumerates non-intersecting pairs.
+    Within every residue class of the quaternary VT partition, any two images
+    with intersecting 1-deletion spheres must have equal Hamming weight.
+    Returns the number of distinct image pairs whose spheres intersect, and
+    the least pair of unequal weight, or None when the property holds.  Two
+    images share a sphere member iff they land in a common bucket of
+    ``sphere_collisions``, so no non-intersecting pair is enumerated.
     """
-    classes = qary_vt_classes(n, 4, limit)
-    return tuple(_scan_map(n, classes, smap) for smap in smaps)
+    pairs: set[tuple[Word, Word]] = set()
+    for images in qary_vt_classes(n, 4, limit, smap).values():
+        for owners in sphere_collisions(images, 1).values():
+            pairs.update(itertools.combinations(owners, 2))
+    return len(pairs), min(((x, y) for x, y in pairs if sum(x) != sum(y)), default=None)
 
 
 def same_residue_witness(
@@ -261,8 +256,8 @@ def same_residue_witness(
     images and the full shared member set, or None if every class has
     pairwise disjoint spheres.
     """
-    for words in qary_vt_classes(n, 4, limit).values():
-        shared = sphere_collisions(sorted(smap.apply(w) for w in words), 1)
+    for images in qary_vt_classes(n, 4, limit, smap).values():
+        shared = sphere_collisions(images, 1)
         if shared:
             x, y = min(owners[:2] for owners in shared.values())
             both = frozenset(m for m, owners in shared.items() if x in owners and y in owners)

@@ -58,9 +58,13 @@ def format_word(word: Word) -> str:
 def ensure_enumerable(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
     """Guard an exhaustive scan of the q^n words of Z_q^n against the cap ``limit``.
 
-    q^n is never built: for q >= 2 a length past the cap's bit length is over
-    it already, and the message names the space as ``q^n``.
+    A negative n or q < 2 is refused first.  q^n is never built: a length past
+    the cap's bit length is over it already, and the message names ``q^n``.
     """
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
     if limit < 1:
         raise ValueError("enumeration cap must be >= 1")
     if q ** min(n, limit.bit_length()) > limit:
@@ -71,9 +75,5 @@ def ensure_enumerable(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
 
 def iter_words(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> Iterator[Word]:
     """Yield all q^n words of length n in lexicographic order, guarded."""
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
     ensure_enumerable(n, q, limit)
     return itertools.product(range(q), repeat=n)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from naisargik import moment, qary_vt_residues, weight_sequence
+from naisargik import binary_vt_residue, moment, qary_vt_residues, weight_sequence
 
 
 def sphere_by_index_subsets(word, s):
@@ -61,12 +61,27 @@ def helberg_classes_by_moment(n, q, s, smap=None):
     return w.modulus, {a: tuple(ws) for a, ws in sorted(buckets.items())}
 
 
-def qary_vt_classes_by_residues(n, q):
-    """Per-word oracle for ``qary_vt_classes``: bucket Z_q^n by residue pair."""
+def qary_vt_classes_by_residues(n, q, smap=None):
+    """Per-word oracle for ``qary_vt_classes``: bucket Z_q^n by residue pair.
+
+    With ``smap`` each class is mapped word by word by ``apply``, and sorted.
+    """
     buckets = {}
     for x in all_words(n, q):
         buckets.setdefault(qary_vt_residues(x, q), []).append(x)
+    if smap is not None:
+        buckets = {res: sorted(map(smap.apply, ws)) for res, ws in buckets.items()}
     return {res: tuple(ws) for res, ws in sorted(buckets.items())}
+
+
+def binary_vt_code_by_checksum(n, a):
+    """Per-word oracle for ``binary_vt_code``: the words of Z_2^n with checksum a."""
+    return frozenset(w for w in all_words(n, 2) if binary_vt_residue(w) == a)
+
+
+def qary_vt_code_by_residues(n, q, a, b):
+    """Per-word oracle for ``qary_vt_code``: the words of Z_q^n with residues (a, b)."""
+    return frozenset(w for w in all_words(n, q) if qary_vt_residues(w, q) == (a, b))
 
 
 def _check_bits(*bits):

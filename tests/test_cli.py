@@ -12,6 +12,7 @@ import pytest
 
 from naisargik.cli import CAMPAIGNS, TABLES, main
 from naisargik import tables as tables_mod
+from naisargik import verify as verify_mod
 from naisargik import words as words_mod
 from naisargik.tables import Table
 from naisargik.verify import CampaignResult
@@ -297,6 +298,32 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "residues need length >= 1" in captured.err
+
+    def test_conj1_refuses_a_bad_n_before_any_worker_starts(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for n, expected, message in [
+            ("20", 3, "enumeration of 4^20 words exceeds the cap"),
+            ("0", 2, "residues need length >= 1"),
+        ]:
+            code = main(["verify", "conj1", "--n", n, "--workers", "2"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (expected, "")
+            assert message in captured.err
+        # A good n does reach the pool, so the refusals above came first.
+        with pytest.raises(AssertionError, match="worker pool"):
+            main(["verify", "conj1", "--n", "2", "--workers", "2"])
+
+    def test_conj1_witness_is_alike_for_any_worker_count(self, capsys):
+        argv = ("verify", "conj1", "--n", "3", "--maps", "phi9,phi1,phi8")
+        for fmt in ("text", "json", "csv"):
+            code, seq = run(capsys, *argv, "--format", fmt, "--workers", "1")
+            assert code == 1
+            assert json.loads(lines(seq)[-1])["cell"] == "phi9"
+            assert run(capsys, *argv, "--format", fmt, "--workers", "2") == (code, seq)
 
     def test_alphabet_beyond_digits_is_usage_error(self, capsys):
         code, out = run(capsys, "verify", "vt1", "--n", "2", "--q", "11")

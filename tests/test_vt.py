@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naisargik import (
+    DEFAULT_MAX_ENUM,
     ResourceLimitError,
     all_bijections,
     binary_vt_code,
@@ -22,12 +23,15 @@ from naisargik import (
     signature,
     sphere_members,
 )
+from naisargik.cli import _scan_campaign
 from conftest import (
     all_words,
+    binary_vt_code_by_checksum,
     enumerated_census,
     least_colliding_pair,
     phi8_signature_bit,
     qary_vt_classes_by_residues,
+    qary_vt_code_by_residues,
 )
 from golden import RESIDUE_DIFF_ROWS, VT_1_2_IMAGES, VT_4_4_CENSUS
 
@@ -58,14 +62,27 @@ def test_binary_partition(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_binary_classes_match_codes(n):
     # The binary VT classes are the Helberg classes with q = 2 and s = 1.
-    checksum = {}
-    for w in all_words(n, 2):
-        a = sum(i * bit for i, bit in enumerate(w, start=1)) % (n + 1)
-        checksum.setdefault(a, []).append(w)
     m, classes = helberg_classes(n, 2, 1)
     assert m == n + 1
     assert list(classes) == list(range(n + 1))
-    assert classes == {a: tuple(ws) for a, ws in checksum.items()}
+    assert classes == {a: tuple(sorted(binary_vt_code_by_checksum(n, a))) for a in range(n + 1)}
+
+
+#: Every (n, q) over the digit alphabets with q^n within 4^5.
+_CODE_GRID = [(n, q) for q in range(2, 11) for n in range(1, 11) if q**n <= 4**5]
+
+
+@pytest.mark.parametrize("n", [n for n, q in _CODE_GRID if q == 2])
+def test_binary_code_equals_the_per_word_scan(n):
+    for a in range(n + 1):
+        assert binary_vt_code(n, a) == binary_vt_code_by_checksum(n, a)
+
+
+@pytest.mark.parametrize("n,q", _CODE_GRID)
+def test_qary_code_equals_the_per_word_scan(n, q):
+    for a in range(n):
+        for b in range(q):
+            assert qary_vt_code(n, q, a, b) == qary_vt_code_by_residues(n, q, a, b)
 
 
 def test_binary_classes_guards():
@@ -83,6 +100,18 @@ def test_qary_classes_equal_the_per_word_scan(n, q):
     expected = qary_vt_classes_by_residues(n, q)
     assert got == expected
     assert list(got) == list(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_qary_classes_through_every_map_equal_the_mapped_scan(n):
+    for smap in all_bijections():
+        assert qary_vt_classes(n, 4, smap=smap) == qary_vt_classes_by_residues(n, 4, smap)
+
+
+def test_qary_classes_map_only_quaternary_words():
+    for q in (2, 3, 5):
+        with pytest.raises(ValueError, match="pairs Z_4 with Z_2\\^2"):
+            qary_vt_classes(3, q, smap=naisargik_map("phi8"))
 
 
 def test_qary_classes_guards():
@@ -181,22 +210,26 @@ def test_image_pair_diff_rejects_mismatch():
 
 @pytest.mark.parametrize("name", [f"phi{i}" for i in range(1, 9)])
 def test_equal_weight_scan_small(name):
-    (scan,) = equal_weight_scan(2, [naisargik_map(name)])
-    assert scan.passed
+    _, counterexample = equal_weight_scan(2, naisargik_map(name))
+    assert counterexample is None
 
 
 def test_equal_weight_scan_shares_classes_across_maps():
-    maps = [naisargik_map(f"phi{i}") for i in range(1, 9)]
-    together = equal_weight_scan(3, maps)
-    assert [scan.map_name for scan in together] == [m.name for m in maps]
-    assert together == tuple(equal_weight_scan(3, [m])[0] for m in maps)
+    # The campaign runs one cell per map; each cell equals the single-map scan.
+    names = tuple(f"phi{i}" for i in range(1, 9))
+    together = _scan_campaign(3, names, DEFAULT_MAX_ENUM, 1).cells
+    assert [cell.label for cell in together] == list(names)
+    for cell, name in zip(together, names):
+        pairs, counterexample = equal_weight_scan(3, naisargik_map(name))
+        assert cell.passed == (counterexample is None)
+        assert cell.detail == {"intersecting_pairs": pairs}
 
 
 def test_equal_weight_scan_finds_intersections():
-    (scan,) = equal_weight_scan(4, [naisargik_map("phi8")])
-    assert scan.passed
-    assert scan.intersecting_pairs >= 1
-    assert scan.classes == 16
+    pairs, counterexample = equal_weight_scan(4, naisargik_map("phi8"))
+    assert counterexample is None
+    assert pairs >= 1
+    assert len(qary_vt_classes(4, 4)) == 16
 
 
 def test_equal_weight_bound_on_binary_weights():
