@@ -24,9 +24,8 @@ from .maps import VT_MAP_NAMES, naisargik_map
 from .spheres import sphere_members
 from .tables import Table
 from .verify import (
-    CampaignCell,
     CampaignResult,
-    _run_cells,
+    _scan_campaign,
     reduction_analysis,
     torsion_analysis,
     verify_coefficient_lemma,
@@ -36,7 +35,7 @@ from .verify import (
     verify_residue_bijection,
     verify_vt_correction,
 )
-from .vt import binary_vt_code, equal_weight_scan, guard_vt_space, qary_vt_code
+from .vt import binary_vt_code, qary_vt_code
 from .words import (
     DEFAULT_MAX_ENUM,
     ResourceLimitError,
@@ -200,30 +199,6 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
     meta = {"command": "sphere", "word": args.word, "s": args.s}
     _emit_words(members, args.format, meta)
     return 0
-
-
-def _equal_weight_cell(args: tuple) -> CampaignCell:
-    n, name, limit = args
-    pairs, bad = equal_weight_scan(n, naisargik_map(name), limit)
-    detail: dict = {"intersecting_pairs": pairs}
-    if bad is not None:
-        detail["witness"] = {"x": format_word(bad[0]), "y": format_word(bad[1])}
-    return CampaignCell(label=name, passed=bad is None, detail=detail)
-
-
-def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> CampaignResult:
-    """Equal-weight scans, one cell per map, each cell building its own image classes.
-
-    Z_4^n is guarded here first, so a refused n starts no worker.
-    """
-    guard_vt_space(n, 4, limit)
-    cells = _run_cells([(n, name, limit) for name in names], _equal_weight_cell, workers)
-    return CampaignResult(
-        campaign="equal-weight",
-        params={"n": n, "maps": ",".join(names)},
-        cells=tuple(cells),
-        summary={"intersecting_pairs": sum(c.detail["intersecting_pairs"] for c in cells)},
-    )
 
 
 def _opt_map(name: str | None):

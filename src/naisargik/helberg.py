@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, cycle, islice, product
 from math import factorial
 from operator import add
 from typing import Iterator
@@ -111,40 +111,76 @@ def moment(word: Word, weights: WeightSequence) -> int:
     return sum(v * x for v, x in zip(weights.values, word))
 
 
-def _residue_stream(steps: list[list[int]], m: int) -> Iterator[int]:
-    """(sum of steps[p][x_p]) mod m for every word x, in lexicographic order.
+def _residue_stream(rows: list[list[list[int]]], m: int) -> Iterator[int]:
+    """(sum over p of rows[p][x_(p-1)][x_p]) mod m for every word x, in lexicographic order.
 
-    Position p contributes steps[p][x] for letter x.  The positions split into
-    a head and a tail, whose prefix sums are expanded separately; each word's
-    residue is (head + tail) % m, one tail list at a time, so at most
-    O(q^ceil(n/2)) sums are held at once, never q^n.
+    Letter y at position p adds rows[p][c][y] after letter c; rows[0] does not
+    depend on c.  The head and tail prefix sums are expanded separately (prefix
+    j ends in letter j % q), the tail once per letter that can end the head.
+    Each word's residue is (head + tail) % m, so at most O(q^(ceil(n/2) + 1))
+    sums are held at once, never q^n.
     """
 
-    def prefix_sums(rows: list[list[int]]) -> list[int]:
-        sums = [0]
+    def prefix_sums(sums: list[int], rows: list[list[list[int]]]) -> list[int]:
         for row in rows:
-            sums = [t + d for t in sums for d in row]
+            sums = [t + d for t, after in zip(sums, cycle(row)) for d in after]
         return sums
 
-    cut = len(steps) // 2
-    tail = [t % m for t in prefix_sums(steps[cut:])]
+    cut = len(rows) // 2
+    tails = [[t % m for t in prefix_sums(first, rows[cut + 1 :])] for first in rows[cut]]
     return chain.from_iterable(
-        [(h + t) % m for t in tail] for h in prefix_sums(steps[:cut])
+        [(h + t) % m for t in tail]
+        for h, tail in zip(prefix_sums([0], rows[:cut]), cycle(tails))
     )
+
+
+def _pair_symbols(smap: SymbolMap) -> list[int]:
+    """The symbol smap^-1(pair) of each bit pair, pairs in lexicographic order."""
+    return [smap.table.index(pair) for pair in product((0, 1), repeat=2)]
+
+
+def _helberg_stream(
+    n: int, q: int, s: int, limit: int, smap: SymbolMap | None = None
+) -> tuple[int, Iterator[tuple[Word, int]]]:
+    """The modulus m, and every word of Z_q^n with its moment residue.
+
+    Symbol x at position i adds x * v_i.  With ``smap`` the words are those
+    the map pairs with Z_q^n:
+    - q = 4: the binary images, from Z_2^(2n), where the bit pair at letter
+      i adds smap^-1(pair) * v_i;
+    - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
+      position i adds b1 * v_(2i-1) + b2 * v_(2i) for (b1, b2) = smap(x).
+    """
+    if smap is not None:
+        if q not in (2, 4):
+            raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
+        if q == 2 and n % 2:
+            raise ValueError("binary length must be even to invert the map")
+    guard_word_space(n, q, s, limit)
+    w = weight_sequence(n, q, s)
+    v = w.values[:-1]
+    if smap is None:
+        steps = [[x * vi for x in range(q)] for vi in v]
+        words = iter_words(n, q, limit)
+    elif q == 4:
+        steps = [[x * vi for x in _pair_symbols(smap)] for vi in v]
+        words = iter_words(2 * n, 2, limit)
+    else:
+        steps = [
+            [b1 * v1 + b2 * v2 for b1, b2 in smap.table] for v1, v2 in zip(v[::2], v[1::2])
+        ]
+        words = iter_words(n // 2, 4, limit)
+    rows = [[step] * len(step) for step in steps]
+    return w.modulus, zip(words, _residue_stream(rows, w.modulus))
 
 
 def helberg_code(
     n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
-    """All length-n words whose moment is congruent to a mod m.
-
-    The moments come from the residue stream that ``helberg_classes`` reads.
-    """
+    """All length-n words whose moment is congruent to a mod m, read from ``_helberg_stream``."""
     guard_word_space(n, q, s, limit, a)
-    w = weight_sequence(n, q, s)
-    steps = [[x * vi for x in range(q)] for vi in w.values[:-1]]
-    residues = _residue_stream(steps, w.modulus)
-    return frozenset(x for x, r in zip(iter_words(n, q, limit), residues) if r == a)
+    _, stream = _helberg_stream(n, q, s, limit)
+    return frozenset(x for x, r in stream if r == a)
 
 
 def helberg_classes(
@@ -158,39 +194,12 @@ def helberg_classes(
 
     Returns (m, classes); residues with no codeword are absent from the
     mapping.  Words are sorted within each class.  The residues come from
-    ``_residue_stream`` with symbol x at position i adding x * v_i, so no
-    word's moment is evaluated on its own.
-
-    With ``smap`` the classes are read through the map at enumeration, and
-    each class holds the words the map pairs with H(n, q, s, a):
-    - q = 4: the binary images, from Z_2^(2n), where the bit pair at letter
-      i adds smap^-1(pair) * v_i;
-    - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
-      position i adds b1 * v_(2i-1) + b2 * v_(2i) for (b1, b2) = smap(x).
+    ``_helberg_stream``, so no word's moment is evaluated on its own; with
+    ``smap`` each class holds the words the map pairs with H(n, q, s, a).
     """
-    if smap is not None:
-        if q not in (2, 4):
-            raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
-        if q == 2 and n % 2:
-            raise ValueError("binary length must be even to invert the map")
-    guard_word_space(n, q, s, limit)
-    w = weight_sequence(n, q, s)
-    m = w.modulus
-    v = w.values[:-1]
-    if smap is None:
-        steps = [[x * vi for x in range(q)] for vi in v]
-        words = iter_words(n, q, limit)
-    elif q == 4:
-        symbols = [smap.table.index(pair) for pair in product((0, 1), repeat=2)]
-        steps = [[x * vi for x in symbols] for vi in v]
-        words = iter_words(2 * n, 2, limit)
-    else:
-        steps = [
-            [b1 * v1 + b2 * v2 for b1, b2 in smap.table] for v1, v2 in zip(v[::2], v[1::2])
-        ]
-        words = iter_words(n // 2, 4, limit)
+    m, stream = _helberg_stream(n, q, s, limit, smap)
     buckets: defaultdict[int, list[Word]] = defaultdict(list)
-    for x, a in zip(words, _residue_stream(steps, m)):
+    for x, a in stream:
         buckets[a].append(x)
     return m, {a: tuple(buckets[a]) for a in sorted(buckets)}
 

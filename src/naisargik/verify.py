@@ -26,7 +26,7 @@ from .helberg import (
 )
 from .maps import SymbolMap, naisargik_map
 from .spheres import CorrectionReport, check_deletion_correcting
-from .vt import qary_vt_classes
+from .vt import equal_weight_scan, guard_vt_space, qary_vt_classes
 from .words import DEFAULT_MAX_ENUM, Word, format_word
 
 
@@ -136,6 +136,30 @@ def _run_cells(
         return [fn(item) for item in inputs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, inputs, chunksize=max(1, len(inputs) // (4 * workers))))
+
+
+def _equal_weight_cell(args: tuple) -> CampaignCell:
+    n, name, limit = args
+    pairs, bad = equal_weight_scan(n, naisargik_map(name), limit)
+    detail: dict = {"intersecting_pairs": pairs}
+    if bad is not None:
+        detail["witness"] = {"x": format_word(bad[0]), "y": format_word(bad[1])}
+    return CampaignCell(label=name, passed=bad is None, detail=detail)
+
+
+def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> CampaignResult:
+    """Equal-weight scans, one cell per map, each cell building its own image classes.
+
+    Z_4^n is guarded here first, so a refused n starts no worker.
+    """
+    guard_vt_space(n, 4, limit)
+    cells = _run_cells([(n, name, limit) for name in names], _equal_weight_cell, workers)
+    return CampaignResult(
+        campaign="equal-weight",
+        params={"n": n, "maps": ",".join(names)},
+        cells=tuple(cells),
+        summary={"intersecting_pairs": sum(c.detail["intersecting_pairs"] for c in cells)},
+    )
 
 
 def _correction_cells(

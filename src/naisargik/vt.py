@@ -17,7 +17,7 @@ import itertools
 from collections import defaultdict
 from typing import Iterator, Sequence
 
-from .helberg import helberg_code
+from .helberg import _pair_symbols, _residue_stream, helberg_code
 from .maps import SymbolMap
 from .spheres import sphere_collisions
 from .words import (
@@ -84,35 +84,16 @@ def guard_vt_space(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
         raise ValueError("residues need length >= 1")
 
 
-def _vt_codes(start: int, length: int, symbols: Sequence[int], step: int) -> list[int]:
-    """A * step + B for the words of length ``length`` in lexicographic order.
-
-    Letter p of a word stands for symbol symbols[p].  The words sit at
-    1-based positions start+1..start+length; A sums the positions i of their
-    own set signature bits [x_i <= x_(i+1)], and B is their symbol sum.  The
-    expansion appends one letter at a time, and prefix index j ends in letter
-    j % q.
-    """
-    q = len(symbols)
-    codes = list(symbols) if length else [0]
-    for i in range(start + 1, start + length):
-        rows = [[y + i * step * (c <= y) for y in symbols] for c in symbols]
-        codes = [code + d for j, code in enumerate(codes) for d in rows[j % q]]
-    return codes
-
-
 def _vt_stream(
     n: int, q: int, limit: int, smap: SymbolMap | None = None
 ) -> Iterator[tuple[Word, int]]:
     """Every word of Z_q^n with its key a * q + b, (a, b) its residue pair.
 
-    The positions split into a head (1..h, h = n // 2) and a tail (the rest).
-    A word's unreduced signature checksum A and symbol sum B are the head's
-    plus the tail's, and A gains h when the boundary bit
-    [last(head) <= first(tail)] is set.  The code A * step + B, with step
-    above any symbol sum, indexes a table of keys.  At most
-    O(q^(ceil(n/2) + 1)) codes are held at once, and no word is scored on
-    its own.
+    Letter y at 1-based position i + 1 adds its symbol to the sum B, and i to
+    the signature checksum A when the letter c before it has c <= y.  It adds
+    B + A * step, with step above any symbol sum, so the residue mod n * step
+    of ``_residue_stream`` is (A mod n) * step + B, and a table maps it to its
+    key.  No word is scored on its own.
 
     With ``smap`` (q = 4 only) the words are those of Z_2^(2n), each bit pair
     p standing for the symbol smap^-1(p): an image is keyed by its preimage.
@@ -124,24 +105,12 @@ def _vt_stream(
         symbols: Sequence[int] = range(q)
         words = iter_words(n, q, limit)
     else:
-        symbols = [smap.table.index(pair) for pair in itertools.product((0, 1), repeat=2)]
+        symbols = _pair_symbols(smap)
         words = iter_words(2 * n, 2, limit)
     step = (q - 1) * n + 1
-    key_of = [
-        (a % n) * q + b % q for a in range(n * (n - 1) // 2 + 1) for b in range(step)
-    ]
-    cut = n // 2
-    tail = _vt_codes(cut, n - cut, symbols, step)
-    block = q ** (n - cut - 1)  # tail index k starts with letter k // block
-    tails = [
-        [t + cut * step * (symbols[k // block] >= c) for k, t in enumerate(tail)]
-        for c in symbols
-    ]
-    stream = itertools.chain.from_iterable(
-        [key_of[h + t] for t in tails[j % q]]
-        for j, h in enumerate(_vt_codes(0, cut, symbols, step))
-    )
-    return zip(words, stream)
+    rows = [[[y + i * step * (c <= y) for y in symbols] for c in symbols] for i in range(n)]
+    key_of = [a * q + b % q for a in range(n) for b in range(step)]
+    return zip(words, map(key_of.__getitem__, _residue_stream(rows, n * step)))
 
 
 def qary_vt_classes(

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from naisargik import (
     verify_coefficient_lemma,
     weight_sequence,
 )
+from naisargik.helberg import _residue_stream
 from conftest import (
     enumerated_census,
     grids_beyond_oracle,
@@ -164,9 +166,31 @@ class TestClasses:
             helberg_classes(4, q, 1, smap=naisargik_map("phi9"))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 4), st.integers(1, 6), st.integers(1, 60), st.booleans())
+def test_residue_stream_equals_the_per_word_sum(data, q, n, m, helberg_shaped):
+    # rows[p][c][y] is what letter y adds at position p after letter c.  A
+    # Helberg-shaped position repeats one row object for every c; otherwise
+    # each c gets its own row, so the tail depends on the letter ending the head.
+    def row():
+        return data.draw(st.lists(st.integers(-30, 30), min_size=q, max_size=q))
+
+    rows = []
+    for p in range(n):
+        if helberg_shaped or p == 0:
+            rows.append([row()] * q)
+        else:
+            rows.append([row() for _ in range(q)])
+    expected = [
+        (rows[0][0][x[0]] + sum(rows[p][x[p - 1]][x[p]] for p in range(1, n))) % m
+        for x in itertools.product(range(q), repeat=n)
+    ]
+    assert list(_residue_stream(rows, m)) == expected
+
+
 # Peaks of the per-word builders the residue streams replaced, measured with
 # tracemalloc on Python 3.11.7: helberg_classes(8, 4, 2) 24.41 MB and
-# qary_vt_classes(8, 4) 7.91 MB.  The streams hold O(q^ceil(n/2)) sums; a
+# qary_vt_classes(8, 4) 7.91 MB.  The streams hold O(q^(ceil(n/2) + 1)) sums; a
 # list of all q^n residues measured 8.33 MB (+5.3 %) on the VT builder, and
 # 188.3 MB against 174.6 MB at helberg_classes(10, 4, 1).
 @pytest.mark.parametrize(

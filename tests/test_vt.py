@@ -23,7 +23,7 @@ from naisargik import (
     signature,
     sphere_members,
 )
-from naisargik.cli import _scan_campaign
+from naisargik.verify import _scan_campaign
 from conftest import (
     all_words,
     binary_vt_code_by_checksum,
