@@ -6,13 +6,25 @@ and aggregates verdicts into a CampaignResult that serializes to JSON.  The
 class campaigns share one runner, ``_correction_cells``; its cells are
 independent, so it may fan residues out across worker processes and merges
 results in residue order, making output identical for every worker count.
+
+Deletion commutes with every symbol permutation and with reversal
+(Levenshtein 1966), so two cells whose inputs such a symmetry carries onto
+each other share their verdict and their counts.  ``_ORBITS`` holds, by
+campaign, the symmetries known to carry a class onto a class (thm1 with a
+map that turns x -> 3 - x into bit complement, thm2, helberg-self, vt1) or
+one conj1 map onto another.  Those campaigns send only the first cell of each
+orbit to ``_run_cells`` and mirror a passing verdict onto the rest; the
+cells of an orbit whose first cell fails, and a class that is its own
+partner, are decided directly.
+Other campaigns, and thm1 under any other map (phi8, phi3), decide every
+cell.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Sequence
 
 from .helberg import (
     coefficient,
@@ -147,13 +159,103 @@ def _equal_weight_cell(args: tuple) -> CampaignCell:
     return CampaignCell(label=name, passed=bad is None, detail=detail)
 
 
+def _run_orbits(
+    items: Sequence[tuple[Hashable, str, tuple]], fn: Callable[[tuple], CampaignCell], workers: int
+) -> list[CampaignCell]:
+    """Cells of ``fn`` on (orbit, label, input) items, in their order, deciding one per orbit.
+
+    Items of one orbit must share ``fn``'s verdict and counts.  Only the first
+    item of each orbit goes to ``_run_cells``; a later one takes a passing
+    first cell under its own label.  When the first cell fails, the later ones
+    are decided too, in a second ``_run_cells`` round, so each failing cell
+    reports its own canonical witness.
+    """
+    first: dict[Hashable, int] = {}
+    for i, (orbit, _, _) in enumerate(items):
+        first.setdefault(orbit, i)
+    done = dict(zip(first.values(), _run_cells([items[i][2] for i in first.values()], fn, workers)))
+    redo = [
+        i for i, (orbit, _, _) in enumerate(items)
+        if i not in done and not done[first[orbit]].passed
+    ]
+    done.update(zip(redo, _run_cells([items[i][2] for i in redo], fn, workers)))
+    return [
+        done[i] if i in done else replace(done[first[orbit]], label=label)
+        for i, (orbit, label, _) in enumerate(items)
+    ]
+
+
+def _complement(n: int, q: int, s: int, top: int) -> Callable[[int], int]:
+    """Orbit of Helberg class a under x -> top - x, symbol by symbol.
+
+    With weights v_1..v_n that sends class a to (top * (v_1 + ... + v_n) - a)
+    mod m; the orbit is the smaller of the two residues.
+    """
+    w = weight_sequence(n, q, s)
+    total = top * sum(w.values[:-1])
+    return lambda a: min(a, (total - a) % w.modulus)
+
+
+def _reverse_complement(n: int, q: int) -> Callable[[tuple[int, int]], tuple[int, int]]:
+    """Orbit of q-ary VT class (a, b) under reversal with x -> q - 1 - x.
+
+    Signature bit i of the image is bit n - i of the word, so the checksum
+    goes to -a mod n, and the symbol sum to n(q - 1) - b mod q.
+    """
+    return lambda key: min(key, (-key[0] % n, (n * (q - 1) - key[1]) % q))
+
+
+def _complement_commutes(smap: SymbolMap) -> bool:
+    """smap(3 - x) is the bit complement of smap(x) for every symbol x."""
+    return all(smap.table[3 - x] == (1 - b1, 1 - b2) for x, (b1, b2) in enumerate(smap.table))
+
+
+def _map_orbit(smap: SymbolMap) -> tuple:
+    """The least table of the maps sharing every conj1 cell value with ``smap``.
+
+    Two operations generate them: c o smap complements every image, and
+    swap o smap o (3 - .) gives the reversed image of the reversed complement
+    of each word, which lies in VT class (-a, 3n - b) when the word lies in
+    (a, b).  Neither changes which images share a sphere member, nor whether
+    two images have equal weight.
+    """
+    flip = tuple((b2, b1) for b1, b2 in reversed(smap.table))
+    return min(
+        tuple((1 - b1, 1 - b2) for b1, b2 in table) if complement else table
+        for table in (smap.table, flip)
+        for complement in (False, True)
+    )
+
+
+#: The orbit of each cell key, by campaign: an entry takes the campaign's
+#: parameters and returns a function from cell key (class residue, or map for
+#: conj1) to orbit, or None where no symmetry is known.  Each class symmetry
+#: is a symbol permutation of the words, with reversal for the q-ary VT one.
+_ORBITS: dict[str, Callable[..., Callable[[Hashable], Hashable] | None]] = {
+    "helberg-self": lambda n, q, s: _complement(n, q, s, q - 1),
+    "vt-correction": lambda n, q: _complement(n, 2, 1, 1) if q == 2 else _reverse_complement(n, q),
+    # Bit complement of the binary words; on the preimages it is the symbol
+    # permutation smap^-1 o c o smap, for every map.
+    "inverse-correction": lambda n, s: _complement(n, 2, s, 1),
+    # x -> 3 - x on the quaternary words complements every image bit, for
+    # maps that commute with it.
+    "image-correction": lambda n, s, smap: (
+        _complement(n, 4, s, 3) if _complement_commutes(smap) else None
+    ),
+    "equal-weight": lambda: _map_orbit,
+}
+
+
 def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> CampaignResult:
     """Equal-weight scans, one cell per map, each cell building its own image classes.
 
-    Z_4^n is guarded here first, so a refused n starts no worker.
+    One map of each orbit in ``names`` is scanned (see ``_map_orbit``).  Z_4^n
+    is guarded here first, so a refused n starts no worker.
     """
     guard_vt_space(n, 4, limit)
-    cells = _run_cells([(n, name, limit) for name in names], _equal_weight_cell, workers)
+    orbit = _ORBITS["equal-weight"]()
+    items = [(orbit(naisargik_map(name)), name, (n, name, limit)) for name in names]
+    cells = _run_orbits(items, _equal_weight_cell, workers)
     return CampaignResult(
         campaign="equal-weight",
         params={"n": n, "maps": ",".join(names)},
@@ -168,6 +270,7 @@ def _correction_cells(
     check_s: int | None,
     workers: int,
     min_size: int = 2,
+    orbit: Callable[[Hashable], Hashable] | None = None,
 ) -> tuple[CampaignCell, ...]:
     """Run ``cell`` on ``(label, words, check_s)`` for each class of ``min_size`` words or more.
 
@@ -175,18 +278,16 @@ def _correction_cells(
     as its residues minus its cells.  The cell sees each class as built: a
     campaign over mapped words builds its classes through the map
     (``helberg_classes(..., smap)``), so no codeword is mapped here.  A class
-    keyed by a residue pair is labelled ``a=..,b=..``.
+    keyed by a residue pair is labelled ``a=..,b=..``.  With ``orbit`` (built
+    by an entry of ``_ORBITS``) a passing class decides the rest of its
+    orbit; see ``_run_orbits``.
     """
-    inputs = [
-        (
-            f"a={key[0]},b={key[1]}" if isinstance(key, tuple) else f"a={key}",
-            ws,
-            check_s,
-        )
-        for key, ws in classes.items()
-        if len(ws) >= min_size
-    ]
-    return tuple(_run_cells(inputs, cell, workers))
+    items = []
+    for key, ws in classes.items():
+        if len(ws) >= min_size:
+            label = f"a={key[0]},b={key[1]}" if isinstance(key, tuple) else f"a={key}"
+            items.append((key if orbit is None else orbit(key), label, (label, ws, check_s)))
+    return tuple(_run_orbits(items, cell, workers))
 
 
 def _class_summary(m: int, classes: dict[int, tuple[Word, ...]], cells: tuple) -> dict:
@@ -216,7 +317,8 @@ def verify_image_correction(
     """
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n, 4, s, limit, smap)
-    cells = _correction_cells(classes, _correction_cell, s + 1, workers)
+    orbit = _ORBITS["image-correction"](n, s, smap)
+    cells = _correction_cells(classes, _correction_cell, s + 1, workers, orbit=orbit)
     return CampaignResult(
         campaign="image-correction",
         params={"n": n, "q": 4, "s": s, "check_s": s + 1, "map": smap.name},
@@ -238,7 +340,8 @@ def verify_inverse_correction(
     """
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n_bits, 2, s, limit, smap)
-    cells = _correction_cells(classes, _correction_cell, s // 2, workers)
+    orbit = _ORBITS["inverse-correction"](n_bits, s)
+    cells = _correction_cells(classes, _correction_cell, s // 2, workers, orbit=orbit)
     return CampaignResult(
         campaign="inverse-correction",
         params={"n": n_bits, "q": 2, "s": s, "check_s": s // 2, "map": smap.name},
@@ -379,7 +482,8 @@ def verify_vt_correction(
     # The binary VT code is the Helberg code with q = 2 and s = 1: its weights
     # are 1..n and its modulus is n + 1.
     classes = helberg_classes(n, 2, 1, limit)[1] if q == 2 else qary_vt_classes(n, q, limit)
-    cells = _correction_cells(classes, _correction_cell, 1, workers, min_size=1)
+    orbit = _ORBITS["vt-correction"](n, q)
+    cells = _correction_cells(classes, _correction_cell, 1, workers, min_size=1, orbit=orbit)
     return CampaignResult(
         campaign="vt-correction",
         params={"n": n, "q": q, "s": 1},
@@ -393,7 +497,8 @@ def verify_helberg_self(
 ) -> CampaignResult:
     """Every Helberg codebook corrects its own deletion budget s."""
     m, classes = helberg_classes(n, q, s, limit)
-    cells = _correction_cells(classes, _correction_cell, s, workers)
+    orbit = _ORBITS["helberg-self"](n, q, s)
+    cells = _correction_cells(classes, _correction_cell, s, workers, orbit=orbit)
     return CampaignResult(
         campaign="helberg-self",
         params={"n": n, "q": q, "s": s},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from naisargik import binary_vt_residue, moment, qary_vt_residues, weight_sequence
+from naisargik import verify as verify_mod
 
 
 def sphere_by_index_subsets(word, s):
@@ -82,6 +84,20 @@ def binary_vt_code_by_checksum(n, a):
 def qary_vt_code_by_residues(n, q, a, b):
     """Per-word oracle for ``qary_vt_code``: the words of Z_q^n with residues (a, b)."""
     return frozenset(w for w in all_words(n, q) if qary_vt_residues(w, q) == (a, b))
+
+
+@contextlib.contextmanager
+def direct_route():
+    """Second route for the orbit campaigns: inside, every cell is decided on its own.
+
+    ``verify._run_orbits`` is replaced by a loop that calls the cell function
+    on every input, in order, so no verdict is copied between classes or maps.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            verify_mod, "_run_orbits", lambda items, fn, workers: [fn(args) for _, _, args in items]
+        )
+        yield
 
 
 def _check_bits(*bits):

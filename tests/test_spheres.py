@@ -163,6 +163,21 @@ def test_intersection_is_symmetric(word_q, data):
     assert shared == sphere_by_index_subsets(y, s) & sphere_by_index_subsets(x, s)
 
 
+@settings(max_examples=200, deadline=None)
+@given(words_strategy(max_len=9), st.integers(min_value=0, max_value=3), st.data())
+def test_deletion_commutes_with_symbol_permutation_and_reversal(word_q, s, data):
+    # The lemma behind deciding one class per symmetry orbit (Levenshtein 1966):
+    # D_s(pi(x)) = pi(D_s(x)) for every symbol permutation pi, and
+    # D_s(reversed x) is D_s(x) with every member reversed.
+    word, q = word_q
+    s = min(s, len(word))
+    pi = data.draw(st.permutations(range(q)))
+    permuted = sphere_members(tuple(pi[x] for x in word), s)
+    assert permuted == {tuple(pi[x] for x in member) for member in sphere_members(word, s)}
+    reversed_sphere = sphere_members(word[::-1], s)
+    assert reversed_sphere == {member[::-1] for member in sphere_members(word, s)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2), st.data())
 def test_report_ignores_codebook_order_and_duplicates(q, n, s, data):

@@ -1,16 +1,23 @@
+import importlib.util
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from naisargik import (
+    DEFAULT_MAX_ENUM,
+    VT_MAP_NAMES,
+    all_bijections,
     format_word,
+    helberg_classes,
     helberg_code,
     moment,
     naisargik_map,
     parse_word,
+    qary_vt_classes,
     reduction_analysis,
     torsion_analysis,
     verify_helberg_self,
@@ -22,7 +29,9 @@ from naisargik import (
 )
 from naisargik import tables as tables_mod
 from naisargik import verify as verify_mod
-from naisargik.verify import effective_workers
+from naisargik.cli import CAMPAIGNS
+from naisargik.verify import _scan_campaign, effective_workers
+from conftest import direct_route
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
     HELBERG_4_4_1_40_IMAGES,
@@ -266,3 +275,216 @@ def test_campaign_result_is_json_serializable():
 )
 def test_effective_workers_clamp(requested, cells, cpus, expected):
     assert effective_workers(requested, cells, cpus) == expected
+
+
+# One class, or one conj1 map, is decided per symmetry orbit.  The tests below
+# check each orbit of ``verify._ORBITS`` word for word, and every campaign
+# that uses them against the direct route of ``conftest.direct_route``.
+
+PERM7 = next(m for m in all_bijections() if m.name == "perm-7")
+
+
+def _complement(word):
+    return tuple(1 - b for b in word)
+
+
+def _assert_classes_pair(classes, orbit, transform):
+    """``transform`` sends each class onto the other class of its orbit, or onto itself."""
+    groups = {}
+    for key in classes:
+        groups.setdefault(orbit(key), []).append(key)
+    assert all(len(keys) <= 2 for keys in groups.values())
+    for keys in groups.values():
+        for key in keys:
+            partner = keys[-1] if key == keys[0] else keys[0]
+            assert tuple(sorted(map(transform, classes[key]))) == classes[partner], key
+
+
+@pytest.mark.parametrize("n, q, s", [(6, 2, 2), (9, 2, 3), (4, 3, 1), (4, 4, 2), (3, 5, 1)])
+def test_helberg_classes_pair_by_complement(n, q, s):
+    _, classes = helberg_classes(n, q, s)
+    orbit = verify_mod._ORBITS["helberg-self"](n, q, s)
+    _assert_classes_pair(classes, orbit, lambda w: tuple(q - 1 - x for x in w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_binary_vt_classes_pair_by_complement(n):
+    _, classes = helberg_classes(n, 2, 1)
+    _assert_classes_pair(classes, verify_mod._ORBITS["vt-correction"](n, 2), _complement)
+
+
+@pytest.mark.parametrize("n, q", [(1, 3), (2, 4), (5, 3), (4, 4), (3, 5)])
+def test_qary_vt_classes_pair_by_reversed_complement(n, q):
+    orbit = verify_mod._ORBITS["vt-correction"](n, q)
+    reverse_complement = lambda w: tuple(q - 1 - x for x in reversed(w))  # noqa: E731
+    _assert_classes_pair(qary_vt_classes(n, q), orbit, reverse_complement)
+
+
+@pytest.mark.parametrize("smap", all_bijections(), ids=lambda m: m.name)
+def test_inverse_classes_pair_by_bit_complement_under_every_map(smap):
+    for n_bits, s in [(6, 2), (8, 3)]:
+        _, classes = helberg_classes(n_bits, 2, s, smap=smap)
+        orbit = verify_mod._ORBITS["inverse-correction"](n_bits, s)
+        _assert_classes_pair(classes, orbit, lambda w: smap.invert(_complement(smap.apply(w))))
+
+
+#: The maps with smap(3 - x) = complement(smap(x)): x -> 3 - x complements
+#: their images.
+THM1_PAIRED_MAPS = {
+    "phi9", "perm-0", "perm-2", "perm-7", "perm-10", "perm-13", "perm-16", "perm-23"
+}
+
+
+@pytest.mark.parametrize("smap", all_bijections(), ids=lambda m: m.name)
+def test_image_classes_pair_by_complement_only_under_maps_that_commute_with_it(smap):
+    for n, s in [(3, 1), (4, 2)]:
+        orbit = verify_mod._ORBITS["image-correction"](n, s, smap)
+        assert (orbit is not None) == (smap.name in THM1_PAIRED_MAPS)
+        if orbit is not None:
+            _assert_classes_pair(helberg_classes(n, 4, s, smap=smap)[1], orbit, _complement)
+
+
+def test_conj1_maps_fall_into_two_orbits_of_the_named_maps():
+    orbit = verify_mod._ORBITS["equal-weight"]()
+    groups = {}
+    for smap in all_bijections():
+        groups.setdefault(orbit(smap), set()).add(smap.name)
+    assert sorted(map(len, groups.values())) == [4] * 6
+    named = {frozenset(g & set(VT_MAP_NAMES)) for g in groups.values()} - {frozenset()}
+    assert named == {
+        frozenset({"phi1", "phi2", "phi4", "phi7"}),
+        frozenset({"phi3", "phi5", "phi6", "phi8"}),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conj1_maps_of_one_orbit_have_alike_image_classes(n):
+    # Within an orbit, one map's image classes are another's under bit
+    # complement, reversal, or both; each keeps sphere meetings and weight gaps.
+    transforms = (
+        lambda w: w,
+        _complement,
+        lambda w: w[::-1],
+        lambda w: _complement(w[::-1]),
+    )
+
+    def classes(smap):
+        return {frozenset(ws) for ws in qary_vt_classes(n, 4, smap=smap).values()}
+
+    orbit = verify_mod._ORBITS["equal-weight"]()
+    groups = {}
+    for smap in all_bijections():
+        groups.setdefault(orbit(smap), []).append(smap)
+    for first, *rest in groups.values():
+        base = classes(first)
+        for smap in rest:
+            mapped = classes(smap)
+            assert any(
+                mapped == {frozenset(map(t, c)) for c in base} for t in transforms
+            ), (first.name, smap.name)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "run_campaigns", Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
+)
+_run_campaigns = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_run_campaigns)
+
+#: The benchmark's campaign invocations, as (campaign key, flags).
+BENCHMARK_POINTS = [
+    ("thm1", {"n": 7, "s": 1}),
+    ("thm1", {"n": 7, "s": 2}),
+    ("thm1", {"n": 7, "s": 1, "map": "phi8"}),
+    ("thm2", {"n": 16, "s": 3}),
+    ("thm2", {"n": 16, "s": 4}),
+    ("helberg-self", {"n": 14, "q": 2, "s": 2}),
+    ("conj1", {"n": 7}),
+    ("vt1", {"n": 16}),
+    ("vt1", {"n": 8, "q": 4}),
+]
+
+ORBIT_POINTS = [
+    *(point for point in _run_campaigns.grid(True) if point[0] in ("thm1", "thm2", "conj1")),
+    *BENCHMARK_POINTS,
+    ("thm2", {"n": 10, "s": 2, "map": "phi8"}),
+    ("helberg-self", {"n": 6, "q": 4, "s": 2}),
+    ("helberg-self", {"n": 5, "q": 3, "s": 2}),
+    ("vt1", {"n": 1, "q": 3}),
+    ("vt1", {"n": 6, "q": 3}),
+    ("vt1", {"n": 4, "q": 5}),
+    ("vt1", {"n": 9}),
+    ("conj1", {"n": 5, "maps": "phi1..phi9"}),
+    ("conj1", {"n": 3, "maps": "phi9,phi1,phi9"}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, params",
+    ORBIT_POINTS,
+    ids=[" ".join([key, *(f"{k}={v}" for k, v in params.items())]) for key, params in ORBIT_POINTS],
+)
+def test_mirrored_cells_equal_the_direct_route(key, params):
+    def run():
+        return CAMPAIGNS[key](**params, limit=DEFAULT_MAX_ENUM, workers=1).to_dict()
+
+    mirrored = run()
+    with direct_route():
+        assert run() == mirrored
+
+
+def test_failing_orbits_report_the_direct_witnesses():
+    # perm-7 commutes with x -> 3 - x, so its thm1 classes are paired, and 120
+    # of its 140 cells at (5, 2) fail: each must carry its own least witness.
+    assert verify_mod._ORBITS["image-correction"](5, 2, PERM7) is not None
+    mirrored = verify_image_correction(5, 2, PERM7)
+    assert len(mirrored.cells) == 140
+    assert sum(not c.passed for c in mirrored.cells) == 120
+    with direct_route():
+        assert verify_image_correction(5, 2, PERM7).to_dict() == mirrored.to_dict()
+
+
+def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
+    checks = []
+    check = verify_mod.check_deletion_correcting
+    monkeypatch.setattr(
+        verify_mod, "check_deletion_correcting", lambda ws, s: checks.append(s) or check(ws, s)
+    )
+    result = verify_helberg_self(10, 2, 2)
+    assert result.passed
+    _, classes = helberg_classes(10, 2, 2)
+    orbit = verify_mod._ORBITS["helberg-self"](10, 2, 2)
+    orbits = {orbit(a) for a, ws in classes.items() if len(ws) >= 2}
+    assert len(checks) == len(orbits) < len(result.cells)
+
+    scans = []
+    scan = verify_mod.equal_weight_scan
+    monkeypatch.setattr(
+        verify_mod,
+        "equal_weight_scan",
+        lambda n, smap, limit: scans.append(smap.name) or scan(n, smap, limit),
+    )
+    assert len(_scan_campaign(4, VT_MAP_NAMES, DEFAULT_MAX_ENUM, 1).cells) == 8
+    assert scans == ["phi1", "phi3"]
+
+
+@pytest.mark.parametrize(
+    "campaign, pools",
+    [
+        (lambda workers: verify_helberg_self(10, 2, 2, workers=workers), [2]),
+        (lambda workers: verify_vt_correction(6, 4, workers=workers), [2]),
+        (lambda workers: verify_image_correction(5, 2, PERM7, workers=workers), [2, 2]),
+        (lambda workers: _scan_campaign(4, VT_MAP_NAMES, DEFAULT_MAX_ENUM, workers), [2]),
+    ],
+    ids=["helberg-self", "vt1-q4", "thm1-perm-7", "conj1"],
+)
+def test_orbit_campaigns_match_across_workers(monkeypatch, campaign, pools):
+    # A failing orbit decides its other cells in a second round, with its own pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    monkeypatch.setattr(
+        verify_mod,
+        "ProcessPoolExecutor",
+        lambda max_workers: started.append(max_workers) or ProcessPoolExecutor(max_workers),
+    )
+    assert campaign(2).to_dict() == campaign(1).to_dict()
+    assert started == pools
