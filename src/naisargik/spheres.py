@@ -13,31 +13,45 @@ of two routes, chosen per call from its size k, its length n and s:
 * hashing: ``sphere_collisions`` hashes every sphere member once, k spheres
   in all.
 
-Pairs are taken when (k - 1) * n <= 16 * C(ceil(n/2) + s - 1, s); the right
+Pairs are taken when (k - 1) * n <= 12 * C(ceil(n/2) + s - 1, s); the right
 side estimates one sphere by a word of ceil(n/2) runs.  Both routes report the
 same canonical witness: the lexicographically first pair that meets and the
 smallest member of its two spheres' intersection.
 
-One kernel builds every sphere.  It peels D_s off one level at a time and, at
-each level, deletes one symbol per run only: deleting any symbol of a run gives
-the same word, so |D_1(x)| is the number of runs of x (Levenshtein, 1966).
-Members are packed as ``bytes``, one byte per symbol, which restricts symbols to
-range(256) on both routes; words cross the public API as ``tuple``s.  Any one
-sphere is refused when its C(n, s) index subsets exceed ``cap``, on both
-routes; ``sphere_collisions``, and so only the hashing route, also holds at
-most ``cap`` distinct members across a codebook.
+Spheres are peeled off one level at a time, and at each level one symbol per
+run only is deleted: deleting any symbol of a run gives the same word, so
+|D_1(x)| is the number of runs of x (Levenshtein, 1966).  Two kernels do this.
+``_packed_sphere`` builds the sphere of one word; ``sphere_members`` and the
+pair route's witness use it.  ``_shared_members``, under
+``sphere_collisions``, builds the spheres of a whole class at once, deleting
+one position from every member per step (see ``_delete_one_per_run``); on a
+class of two words the per-word kernel is the faster one, and the pair route
+takes such classes anyway.  Members are packed as ``bytes``, one byte per
+symbol, which restricts symbols to range(256) on both routes; words cross the
+public API as ``tuple``s.  Any one sphere is refused when its C(n, s) index
+subsets exceed ``cap``, on both routes; ``sphere_collisions``, and so only the
+hashing route, also refuses a class whose spheres hold more than ``cap``
+distinct members, and expands at most about ``cap`` members at a time.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import comb
-from typing import Iterable
+from struct import Struct, unpack
+from typing import Iterable, Sequence
 
 from .words import Word, ResourceLimitError
 
 #: Refuse single-word sphere computations beyond this many index subsets.
 DEFAULT_SPHERE_CAP = 10_000_000
+
+#: A class goes by pairs while (k - 1) * n is at most this many times the
+#: estimated size of one sphere (see ``check_deletion_correcting``).
+_PAIRS_PER_MEMBER = 12
 
 
 @dataclass(frozen=True)
@@ -64,17 +78,18 @@ def _check_sphere_args(n: int, s: int, cap: int) -> None:
         raise ResourceLimitError(f"sphere of a length-{n} word at s={s} exceeds cap {cap}")
 
 
-def _pack(word: Word) -> bytes:
+def _pack(words: Iterable[Word]) -> bytes:
+    """The words end to end, one byte per symbol, packed in one C-level pass."""
     try:
-        return bytes(word)
+        return bytes(bytearray(chain.from_iterable(words)))
     except ValueError:
-        bad = next(sym for sym in word if not 0 <= sym < 256)
+        bad = next(sym for sym in chain.from_iterable(words) if not 0 <= sym < 256)
         raise ValueError(f"sphere words take symbols in range(256), not {bad}") from None
 
 
 def _packed_sphere(word: Word, s: int) -> set[bytes]:
     """D_s(word) with each member packed as bytes, one deletion per run per level."""
-    level = {_pack(word)}
+    level = {_pack((word,))}
     for _ in range(s):
         below: set[bytes] = set()
         add = below.add
@@ -88,6 +103,115 @@ def _packed_sphere(word: Word, s: int) -> set[bytes]:
     return level
 
 
+#: ``bytes.translate`` table sending every nonzero byte to 1.
+_NONZERO = bytes(1) + b"\x01" * 255
+
+
+def _delete_one_per_run(
+    blob: bytes, w: int, owners: Sequence[int], first: Sequence[int]
+) -> tuple[list[bytes], array, list[int]]:
+    """The next deletion level of the w-symbol members laid end to end in
+    ``blob``: each new member beside its owner, grouped by the position p
+    deleted, with the index of each group's first member.
+
+    Read as one big-endian integer x, each member is a w-byte lane.  Lane by
+    lane, y holds a zero byte, the member's bytes before p and its bytes after
+    p, so unpacking y skips one byte and cuts one member with p deleted from
+    every lane; moving from p to p + 1 copies byte p of x into byte p + 1 of
+    y.  Only the last symbol of a run is deleted (p = w - 1, or x_p differs
+    from x_(p+1)), which leaves one member per run (Levenshtein, 1966).
+    Lane i loses p only when i >= first[p]; the caller passes the group
+    starts of the level above, so deletions run right to left.
+    """
+    lanes = len(owners)
+    size = lanes * w
+    x = int.from_bytes(blob, "big")
+    shifted = x >> 8
+    # Byte i of ``ends`` is 1 exactly where byte i of x differs from byte
+    # i - 1, so ends[p + 1 :: w] marks the lanes whose symbol p ends a run.
+    ends = (x ^ shifted).to_bytes(size, "big").translate(_NONZERO)
+    column = int.from_bytes((b"\xff" + bytes(w - 1)) * lanes, "big")
+    y = x ^ (x & column)
+    cut = Struct(f"x{w - 1}s" * lanes).unpack
+    members: list[bytes] = []
+    held = array("q")
+    starts: list[int] = []
+    for p in range(w):
+        starts.append(len(members))
+        keep = ends[p + 1 :: w] if p + 1 < w else b"\x01" * lanes
+        keep = bytes(first[p]) + keep[first[p] :]
+        members.extend(compress(cut(y.to_bytes(size, "big")), keep))
+        held.extend(compress(owners, keep))
+        column >>= 8
+        y ^= (y ^ shifted) & column
+    return members, held, starts
+
+
+def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[int]]:
+    """``sphere_collisions`` with each member packed and its owners given by
+    their indices into ``code``.
+
+    The class is peeled one deletion level at a time for all its words at
+    once.  Deletions run right to left: a member of a level may lose only a
+    symbol left of the one it lost last.  With one deletion per run, that
+    reaches each member of D_s once per owner, through its leftmost
+    embedding, the only deletion set whose every deleted symbol differs from
+    the next kept one; so no (member, owner) pair repeats and members can be
+    counted.  Words go in chunks that expand to at most about ``cap``
+    members.  A first pass counts each member's owners and the distinct
+    members against ``cap``; only members counted twice or more are grouped
+    by owner, in a second pass that rebuilds each chunk unless there was
+    only one.
+    """
+    if not code:
+        return {}
+    n, k = len(code[0]), len(code)
+    if set(map(len, code)) != {n}:
+        raise ValueError("codebook must have a single word length")
+    _check_sphere_args(n, s, cap)
+    blob = _pack(code)
+    if s == 0 or k == 1:
+        # Distinct words share no member when nothing is deleted, and one
+        # sphere holds at most C(n, s) <= cap members.
+        if k > cap:
+            raise ResourceLimitError(f"{k} distinct s={s} sphere members exceed cap {cap}")
+        return {}
+    step = max(1, cap // max(comb(n, t) for t in range(1, s + 1)))
+    chunks = range(0, k, step)
+
+    def chunk_pairs(start: int) -> tuple[list[bytes], Sequence[int]]:
+        members: list[bytes] = []
+        owners: Sequence[int] = range(start, min(start + step, k))
+        level = blob[start * n : (start + step) * n]
+        first = [0] * n
+        for t in range(s):
+            if t:
+                level = b"".join(members)
+            members, owners, starts = _delete_one_per_run(level, n - t, owners, first)
+            first = starts[1:]
+        return members, owners
+
+    counts: Counter[bytes] = Counter()
+    for start in chunks:
+        pairs = chunk_pairs(start)
+        counts.update(pairs[0])
+        if len(counts) > cap:
+            raise ResourceLimitError(
+                f"{len(counts)} distinct s={s} sphere members exceed cap {cap}"
+            )
+    if counts.total() == len(counts):
+        return {}
+    hits = sorted(m for m, c in counts.items() if c > 1)
+    shared: dict[bytes, list[int]] = {m: [] for m in hits}
+    for start in chunks:
+        members, owners = pairs if len(chunks) == 1 else chunk_pairs(start)
+        for m, o in compress(zip(members, owners), map(shared.__contains__, members)):
+            shared[m].append(o)
+    for owners in shared.values():
+        owners.sort()
+    return shared
+
+
 def sphere_members(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> frozenset[Word]:
     """The member set of D_s(word)."""
     _check_sphere_args(len(word), s, cap)
@@ -95,45 +219,36 @@ def sphere_members(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> frozens
 
 
 def sphere_collisions(
-    code: list[Word], s: int, cap: int = DEFAULT_SPHERE_CAP
+    code: Sequence[Word], s: int, cap: int = DEFAULT_SPHERE_CAP
 ) -> dict[Word, list[Word]]:
     """Each s-deletion sphere member shared by two or more words of ``code``,
-    mapped to its owners in ascending order.
+    mapped to its owners in ascending order; the members come in ascending
+    order too.
 
     ``code`` must be sorted, free of duplicates and of a single word length.
-    A member keeps only its first owner until a second one arrives.  Raises
-    ``ResourceLimitError`` once more than ``cap`` distinct members are held.
+    Raises ``ResourceLimitError`` once more than ``cap`` distinct members are
+    held.
     """
-    if not code:
-        return {}
-    _check_sphere_args(len(code[0]), s, cap)
-    first: dict[bytes, Word] = {}
-    shared: dict[bytes, list[Word]] = {}
-    for word in code:
-        for member in _packed_sphere(word, s):
-            other = first.setdefault(member, word)
-            if other != word:
-                shared.setdefault(member, [other]).append(word)
-        if len(first) > cap:
-            raise ResourceLimitError(
-                f"{len(first)} distinct s={s} sphere members exceed cap {cap}"
-            )
-    return {tuple(m): owners for m, owners in shared.items()}
+    return {
+        tuple(m): [code[i] for i in owners]
+        for m, owners in _shared_members(code, s, cap).items()
+    }
 
 
-def _first_meeting_pair(code: list[bytes], s: int) -> tuple[int, int] | None:
-    """Indices of the first pair of ``code``, in ``combinations`` order, whose
-    LCS is at least n - s, or None.
+def _first_meeting_pair(blob: bytes, n: int, s: int) -> tuple[int, int] | None:
+    """Indices of the first pair of the n-symbol words laid end to end in
+    ``blob``, in ``combinations`` order, whose LCS is at least n - s, or None.
 
     Bit-parallel LCS (Allison and Dix, 1986): bit i of ``match[sym]`` marks
     y[i] == sym, and after every symbol of x the zero bits of the low n bits of
     v count LCS(x, y).  Carries past bit n - 1 never reach the low bits.
     """
-    n = len(code[0])
+    code = unpack(f"{n}s" * (len(blob) // n), blob)
     low = (1 << n) - 1
-    alphabet = max(b"".join(code), default=0) + 1
+    alphabet = max(blob) + 1
+    # The first word is never the second of a pair, so it needs no table.
     matches = []
-    for y in code:
+    for y in code[1:]:
         match = [0] * alphabet
         bit = 1
         for sym in y:
@@ -141,14 +256,14 @@ def _first_meeting_pair(code: list[bytes], s: int) -> tuple[int, int] | None:
             bit <<= 1
         matches.append(match)
     for i, x in enumerate(code):
-        for j in range(i + 1, len(code)):
+        for j in range(i, len(matches)):
             match = matches[j]
             v = low
             for sym in x:
                 u = v & match[sym]
                 v = (v + u) | (v - u)
             if (v & low).bit_count() <= s:
-                return i, j
+                return i, j + 1
     return None
 
 
@@ -169,19 +284,22 @@ def check_deletion_correcting(
     if not code:
         return CorrectionReport(ok=True)
     n, k = len(code[0]), len(code)
-    if any(len(w) != n for w in code):
+    if set(map(len, code)) != {n}:
         raise ValueError("codebook must have a single word length")
     _check_sphere_args(n, s, cap)
     # Pairs cost about k^2 * n / 2 steps and hashing k spheres, estimated at
-    # C(ceil(n/2) + s - 1, s) members each.  Timed on campaign classes
-    # (n = 6..18, s = 1..4, k <= 40; 2 vCPUs, Python 3.11), the two routes
-    # cost the same where (k - 1) * n is 14 to 16 times the estimate, both at
-    # s = 1 (k of 9 at n = 6..9) and at s = 2 (k of 36 at n = 18).
-    if (k - 1) * n > 16 * comb((n + 1) // 2 + s - 1, s):
+    # C(ceil(n/2) + s - 1, s) members each.  Timed on 301 campaign classes
+    # (n = 6..18, s = 1..4, k <= 43; 2 vCPUs, Python 3.11), the two routes
+    # cost the same where (k - 1) * n is 12 to 14 times the estimate at s = 1
+    # (k of 8 or 9 at n = 6..9) and 9 to 10 times at s = 2 (k of 23 to 26 at
+    # n = 16..18); no class at s >= 3 came near.  A factor of 12 keeps the
+    # summed time of both routes within 3 % of the best single factor.
+    if (k - 1) * n > _PAIRS_PER_MEMBER * comb((n + 1) // 2 + s - 1, s):
         shared = sphere_collisions(code, s, cap)
         witness = min(((o[0], o[1], m) for m, o in shared.items()), default=None)
         return CorrectionReport(ok=witness is None, witness=witness)
-    pair = _first_meeting_pair([_pack(w) for w in code], s)
+    blob = _pack(code)
+    pair = None if k == 1 else _first_meeting_pair(blob, n, s)
     if pair is None:
         return CorrectionReport(ok=True)
     x, y = (code[i] for i in pair)

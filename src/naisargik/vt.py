@@ -13,13 +13,13 @@ every residue formula, 0-based only inside loops.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
+from itertools import chain, combinations, repeat
 from typing import Iterator, Sequence
 
 from .helberg import _pair_symbols, _residue_stream, helberg_code
 from .maps import SymbolMap
-from .spheres import sphere_collisions
+from .spheres import DEFAULT_SPHERE_CAP, _shared_members, sphere_collisions
 from .words import (
     DEFAULT_MAX_ENUM,
     Word,
@@ -204,14 +204,20 @@ def equal_weight_scan(
     with intersecting 1-deletion spheres must have equal Hamming weight.
     Returns the number of distinct image pairs whose spheres intersect, and
     the least pair of unequal weight, or None when the property holds.  Two
-    images share a sphere member iff they land in a common bucket of
-    ``sphere_collisions``, so no non-intersecting pair is enumerated.
+    images share a sphere member iff they own one member in common, which
+    the class kernel behind ``sphere_collisions`` reports for the whole class
+    at once, so no non-intersecting pair is enumerated.  A class's pairs are taken as index
+    pairs into the class, and each image's weight is summed once.
     """
-    pairs: set[tuple[Word, Word]] = set()
+    count = 0
+    unequal: list[tuple[Word, Word]] = []
     for images in qary_vt_classes(n, 4, limit, smap).values():
-        for owners in sphere_collisions(images, 1).values():
-            pairs.update(itertools.combinations(owners, 2))
-    return len(pairs), min(((x, y) for x, y in pairs if sum(x) != sum(y)), default=None)
+        shared = _shared_members(images, 1, DEFAULT_SPHERE_CAP).values()
+        pairs = set(chain.from_iterable(map(combinations, shared, repeat(2))))
+        count += len(pairs)
+        weight = list(map(sum, images))
+        unequal.extend((images[i], images[j]) for i, j in pairs if weight[i] != weight[j])
+    return count, min(unequal, default=None)
 
 
 def same_residue_witness(

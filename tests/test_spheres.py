@@ -202,6 +202,89 @@ def test_collisions_match_brute_force(q, n, s, data):
     assert sphere_collisions(code, s) == shared
 
 
+def per_word_collisions(code, s):
+    """The oracle of ``sphere_collisions``: the union of the words'
+    ``sphere_members``, each member shared by two or more words mapped to its
+    owners in code order, members ascending."""
+    owners = {}
+    for w in code:
+        for member in sphere_members(w, s):
+            owners.setdefault(member, []).append(w)
+    return {m: ws for m, ws in sorted(owners.items()) if len(ws) >= 2}
+
+
+@st.composite
+def classes(draw, max_words=40, max_len=10):
+    """A sorted class of at most max_words distinct words of one length
+    n <= max_len over Z_q, q <= 4, sometimes with one word holding symbol 255,
+    and s in 0..3 or s = n."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, max_len))
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    code = set(draw(st.lists(word, max_size=max_words)))
+    if code and draw(st.booleans()):
+        w = list(code.pop())
+        w[draw(st.integers(0, n - 1))] = 255
+        code.add(tuple(w))
+    s = draw(st.sampled_from(sorted({min(t, n) for t in range(4)} | {n})))
+    return sorted(code), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes())
+def test_class_kernel_matches_the_per_word_spheres(code_s):
+    code, s = code_s
+    shared = sphere_collisions(code, s)
+    # Equal as ordered item lists: members ascending, owners ascending.
+    assert list(shared.items()) == list(per_word_collisions(code, s).items())
+
+
+def test_class_kernel_edge_cases():
+    for s in (0, 1, 3):
+        assert sphere_collisions([], s) == {}
+        assert sphere_collisions([(2, 0, 255)], s) == {}
+    length_one = [(0,), (1,), (255,)]
+    assert sphere_collisions(length_one, 0) == {}
+    assert sphere_collisions(length_one, 1) == {(): length_one}
+    assert list(sphere_collisions([(0, 0, 1), (0, 1, 0), (1, 0, 0)], 1)) == [(0, 0), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_member_cap_bounds_what_the_kernel_holds(s, monkeypatch):
+    # 1024 words whose spheres hold 512 (s = 1) and 256 (s = 2) distinct
+    # members: the words go in chunks, so no level of the kernel expands more
+    # than about cap members before the distinct count is checked.
+    code = list(itertools.product(range(2), repeat=10))
+    expanded = []
+    real = spheres._delete_one_per_run
+
+    def spy(*args):
+        level = real(*args)
+        expanded.append(len(level[0]))
+        return level
+
+    monkeypatch.setattr(spheres, "_delete_one_per_run", spy)
+    message = f"^\\d+ distinct s={s} sphere members exceed cap 100$"
+    with pytest.raises(ResourceLimitError, match=message):
+        sphere_collisions(code, s, cap=100)
+    assert expanded and max(expanded) <= 100
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_chunked_classes_give_the_unchunked_answer(s):
+    # Z_2^6 holds exactly 2^(6 - s) distinct members, so a cap of that many
+    # passes, while splitting the class into chunks of a few words.
+    code = list(itertools.product(range(2), repeat=6))
+    assert sphere_collisions(code, s, cap=2 ** (6 - s)) == sphere_collisions(code, s)
+    with pytest.raises(ResourceLimitError, match=f"{2 ** (6 - s)} distinct"):
+        sphere_collisions(code, s, cap=2 ** (6 - s) - 1)
+
+
+def test_sphere_collisions_rejects_mixed_lengths():
+    with pytest.raises(ValueError, match="single word length"):
+        sphere_collisions([(0, 1), (0, 1, 0)], 1)
+
+
 class TestCorrectionCheck:
     def test_singleton_passes_any_s(self):
         for s in range(4):
@@ -351,6 +434,26 @@ def test_correction_iff_no_pair_has_a_long_common_subsequence(code_s):
         lcs_length(x, y) >= len(x) - t for x, y in itertools.combinations(code, 2)
     )
     assert check_deletion_correcting(code, t).ok == (not close)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codebooks())
+def test_both_routes_report_the_same_witness(code_s):
+    code, s = code_s
+    reports = []
+    real = spheres.sphere_collisions
+    # 0 sends every class of two or more words to hashing, and k * 8 keeps
+    # it on pairs, since (k - 1) * n < k * 8 <= k * 8 * C(ceil(n/2) + s - 1, s).
+    for per_member, hashes in ((0, True), (len(code) * 8, False)):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spheres, "_PAIRS_PER_MEMBER", per_member)
+            patch.setattr(
+                spheres, "sphere_collisions", lambda *args: calls.append(args) or real(*args)
+            )
+            reports.append(check_deletion_correcting(code, s))
+        assert bool(calls) == hashes
+    assert reports[0] == reports[1] == oracle_report(code, s)
 
 
 def test_hashing_route_case_largest_class_of_h_10_2_1(monkeypatch):

@@ -232,6 +232,27 @@ def test_equal_weight_scan_finds_intersections():
     assert len(qary_vt_classes(4, 4)) == 16
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_equal_weight_scan_matches_brute_force(n):
+    # Every map, failing ones (phi9 among them) included: the count of
+    # intersecting image pairs and the least pair of unequal weight equal a
+    # scan of all pairs of each residue class.
+    classes = {}
+    for w in all_words(n, 4):
+        classes.setdefault(qary_vt_residues(w, 4), []).append(w)
+    for smap in all_bijections():
+        pairs = []
+        for words in classes.values():
+            images = sorted(smap.apply(w) for w in words)
+            pairs += [
+                (x, y)
+                for x, y in itertools.combinations(images, 2)
+                if sphere_members(x, 1) & sphere_members(y, 1)
+            ]
+        unequal = [(x, y) for x, y in pairs if sum(x) != sum(y)]
+        assert equal_weight_scan(n, smap) == (len(pairs), min(unequal, default=None)), smap.name
+
+
 def test_equal_weight_bound_on_binary_weights():
     # Intersecting 1-deletion spheres can shift the weight by at most one.
     for x, y in itertools.combinations(itertools.product((0, 1), repeat=6), 2):
