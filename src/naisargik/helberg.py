@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice, product
+from itertools import chain, cycle, islice
 from math import factorial
 from operator import add
 from typing import Iterator
@@ -114,11 +114,13 @@ def moment(word: Word, weights: WeightSequence) -> int:
 def _residue_stream(rows: list[list[list[int]]], m: int) -> Iterator[int]:
     """(sum over p of rows[p][x_(p-1)][x_p]) mod m for every word x, in lexicographic order.
 
-    Letter y at position p adds rows[p][c][y] after letter c; rows[0] does not
-    depend on c.  The head and tail prefix sums are expanded separately (prefix
-    j ends in letter j % q), the tail once per letter that can end the head.
-    Each word's residue is (head + tail) % m, so at most O(q^(ceil(n/2) + 1))
-    sums are held at once, never q^n.
+    Letter y at position p adds rows[p][c][y] after letter c.  The rows of a
+    position are cycled over c, so a position whose increments do not depend
+    on c (rows[0], every Helberg position) has one row.  The head and tail
+    prefix sums are expanded separately (prefix j ends in letter j % q), the
+    tail once per row of its first position.  Each word's residue is
+    (head + tail) % m, so O(q^ceil(n/2)) sums are held at once with one row
+    per position, O(q^(ceil(n/2) + 1)) with q (VT), never q^n.
     """
 
     def prefix_sums(sums: list[int], rows: list[list[list[int]]]) -> list[int]:
@@ -134,11 +136,6 @@ def _residue_stream(rows: list[list[list[int]]], m: int) -> Iterator[int]:
     )
 
 
-def _pair_symbols(smap: SymbolMap) -> list[int]:
-    """The symbol smap^-1(pair) of each bit pair, pairs in lexicographic order."""
-    return [smap.table.index(pair) for pair in product((0, 1), repeat=2)]
-
-
 def _helberg_stream(
     n: int, q: int, s: int, limit: int, smap: SymbolMap | None = None
 ) -> tuple[int, Iterator[tuple[Word, int]]]:
@@ -147,7 +144,7 @@ def _helberg_stream(
     Symbol x at position i adds x * v_i.  With ``smap`` the words are those
     the map pairs with Z_q^n:
     - q = 4: the binary images, from Z_2^(2n), where the bit pair at letter
-      i adds smap^-1(pair) * v_i;
+      i adds smap.inverse[pair] * v_i;
     - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
       position i adds b1 * v_(2i-1) + b2 * v_(2i) for (b1, b2) = smap(x).
     """
@@ -163,14 +160,14 @@ def _helberg_stream(
         steps = [[x * vi for x in range(q)] for vi in v]
         words = iter_words(n, q, limit)
     elif q == 4:
-        steps = [[x * vi for x in _pair_symbols(smap)] for vi in v]
+        steps = [[x * vi for x in smap.inverse] for vi in v]
         words = iter_words(2 * n, 2, limit)
     else:
         steps = [
             [b1 * v1 + b2 * v2 for b1, b2 in smap.table] for v1, v2 in zip(v[::2], v[1::2])
         ]
         words = iter_words(n // 2, 4, limit)
-    rows = [[step] * len(step) for step in steps]
+    rows = [[step] for step in steps]
     return w.modulus, zip(words, _residue_stream(rows, w.modulus))
 
 

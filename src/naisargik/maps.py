@@ -32,8 +32,9 @@ class SymbolMap:
                 raise ValueError(f"map {self.name}: images must be bit pairs")
 
     @cached_property
-    def _inverse(self) -> dict[BitPair, int]:
-        return {pair: sym for sym, pair in enumerate(self.table)}
+    def inverse(self) -> tuple[int, ...]:
+        """The symbol each bit pair (b1, b2) stands for, at index 2 * b1 + b2."""
+        return tuple(sorted(range(4), key=self.table.__getitem__))
 
     def apply(self, word: Word) -> Word:
         """Map a quaternary word to its binary image of twice the length."""
@@ -49,16 +50,8 @@ class SymbolMap:
         if len(bits) % 2:
             raise ValueError("inverse map needs an even-length binary word")
         check_symbols(bits, 2)
-        inverse = self._inverse
-        return tuple(
-            inverse[(bits[i], bits[i + 1])] for i in range(0, len(bits), 2)
-        )
-
-    def __str__(self) -> str:
-        assigns = ", ".join(
-            f"{sym}->{b1}{b2}" for sym, (b1, b2) in enumerate(self.table)
-        )
-        return f"{self.name}{{{assigns}}}"
+        inverse = self.inverse
+        return tuple(inverse[2 * b1 + b2] for b1, b2 in zip(bits[::2], bits[1::2]))
 
 
 def _mk(name: str, *pairs: BitPair) -> SymbolMap:

@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import comb
+from operator import lt
 from struct import Struct, unpack
 from typing import Iterable, Sequence
 
@@ -278,9 +279,11 @@ def check_deletion_correcting(
     and of the route (see the module docstring): the pair route meets it
     first, and on the hashing route it leads the owner list of each member it
     shares, since a smaller first owner, or a word between the two, would
-    make a smaller pair.
+    make a smaller pair.  A strictly ascending list or tuple is not re-sorted.
     """
-    code = sorted(set(codewords))
+    code = codewords if isinstance(codewords, (list, tuple)) else list(codewords)
+    if not all(map(lt, code, code[1:])):
+        code = sorted(set(code))
     if not code:
         return CorrectionReport(ok=True)
     n, k = len(code[0]), len(code)

@@ -17,7 +17,7 @@ from collections import defaultdict
 from itertools import chain, combinations, repeat
 from typing import Iterator, Sequence
 
-from .helberg import _pair_symbols, _residue_stream, helberg_code
+from .helberg import _residue_stream, helberg_code
 from .maps import SymbolMap
 from .spheres import DEFAULT_SPHERE_CAP, _shared_members, sphere_collisions
 from .words import (
@@ -95,8 +95,9 @@ def _vt_stream(
     of ``_residue_stream`` is (A mod n) * step + B, and a table maps it to its
     key.  No word is scored on its own.
 
-    With ``smap`` (q = 4 only) the words are those of Z_2^(2n), each bit pair
-    p standing for the symbol smap^-1(p): an image is keyed by its preimage.
+    Position 1 has one row, as no letter precedes it.  With ``smap`` (q = 4
+    only) the words are those of Z_2^(2n), each bit pair p standing for the
+    symbol smap.inverse[p]: an image is keyed by its preimage.
     """
     if smap is not None and q != 4:
         raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
@@ -105,10 +106,11 @@ def _vt_stream(
         symbols: Sequence[int] = range(q)
         words = iter_words(n, q, limit)
     else:
-        symbols = _pair_symbols(smap)
+        symbols = smap.inverse
         words = iter_words(2 * n, 2, limit)
     step = (q - 1) * n + 1
-    rows = [[[y + i * step * (c <= y) for y in symbols] for c in symbols] for i in range(n)]
+    rows = [[list(symbols)]]
+    rows += ([[y + i * step * (c <= y) for y in symbols] for c in symbols] for i in range(1, n))
     key_of = [a * q + b % q for a in range(n) for b in range(step)]
     return zip(words, map(key_of.__getitem__, _residue_stream(rows, n * step)))
 

@@ -190,9 +190,10 @@ def test_residue_stream_equals_the_per_word_sum(data, q, n, m, helberg_shaped):
 
 # Peaks of the per-word builders the residue streams replaced, measured with
 # tracemalloc on Python 3.11.7: helberg_classes(8, 4, 2) 24.41 MB and
-# qary_vt_classes(8, 4) 7.91 MB.  The streams hold O(q^(ceil(n/2) + 1)) sums; a
-# list of all q^n residues measured 8.33 MB (+5.3 %) on the VT builder, and
-# 188.3 MB against 174.6 MB at helberg_classes(10, 4, 1).
+# qary_vt_classes(8, 4) 7.91 MB.  The Helberg stream holds O(q^ceil(n/2)) sums
+# and the VT stream O(q^(ceil(n/2) + 1)); a list of all q^n residues measured
+# 8.33 MB (+5.3 %) on the VT builder, and 188.3 MB against 174.6 MB at
+# helberg_classes(10, 4, 1).
 @pytest.mark.parametrize(
     "build,args,parent_mb",
     [(helberg_classes, (8, 4, 2), 24.41), (qary_vt_classes, (8, 4), 7.91)],

@@ -55,6 +55,13 @@ class TestAllBijections:
         for name, smap in NAISARGIK_MAPS.items():
             assert by_table[smap.table] == name
 
+    def test_inverse_names_the_symbol_of_each_pair(self):
+        pairs = list(itertools.product((0, 1), repeat=2))
+        for smap in all_bijections():
+            assert len(smap.inverse) == 4, smap.name
+            for pair, sym in zip(pairs, smap.inverse):
+                assert smap.table[sym] == pair, smap.name
+
 
 def test_apply_examples():
     assert naisargik_map("phi8").apply((0, 3, 2, 1)) == (0, 0, 1, 0, 1, 1, 0, 1)
