@@ -18,20 +18,16 @@ side estimates one sphere by a word of ceil(n/2) runs.  Both routes report the
 same canonical witness: the lexicographically first pair that meets and the
 smallest member of its two spheres' intersection.
 
-Spheres are peeled off one level at a time, and at each level one symbol per
-run only is deleted: deleting any symbol of a run gives the same word, so
-|D_1(x)| is the number of runs of x (Levenshtein, 1966).  Two kernels do this.
-``_packed_sphere`` builds the sphere of one word; ``sphere_members`` and the
-pair route's witness use it.  ``_shared_members``, under
-``sphere_collisions``, builds the spheres of a whole class at once, deleting
-one position from every member per step (see ``_delete_one_per_run``); on a
-class of two words the per-word kernel is the faster one, and the pair route
-takes such classes anyway.  Members are packed as ``bytes``, one byte per
-symbol, which restricts symbols to range(256) on both routes; words cross the
-public API as ``tuple``s.  Any one sphere is refused when its C(n, s) index
-subsets exceed ``cap``, on both routes; ``sphere_collisions``, and so only the
-hashing route, also refuses a class whose spheres hold more than ``cap``
-distinct members, and expands at most about ``cap`` members at a time.
+One kernel, ``_peel``, builds every sphere, level by level and for all words
+of a class at once, deleting one symbol per run only: deleting any symbol of
+a run gives the same word (Levenshtein, 1966).  The pair route builds no
+sphere: its witness, the least common subsequence of length n - s, comes
+from a greedy walk over the same LCS recurrence.  Members are packed as
+``bytes``, one byte per symbol, so symbols lie in range(256); words cross
+the public API as ``tuple``s.  Any one sphere is refused when its C(n, s)
+index subsets exceed ``cap``, on both routes; ``sphere_collisions``, and so
+only the hashing route, also refuses a class whose spheres hold more than
+``cap`` distinct members, and expands at most about ``cap`` members at a time.
 """
 
 from __future__ import annotations
@@ -88,22 +84,6 @@ def _pack(words: Iterable[Word]) -> bytes:
         raise ValueError(f"sphere words take symbols in range(256), not {bad}") from None
 
 
-def _packed_sphere(word: Word, s: int) -> set[bytes]:
-    """D_s(word) with each member packed as bytes, one deletion per run per level."""
-    level = {_pack((word,))}
-    for _ in range(s):
-        below: set[bytes] = set()
-        add = below.add
-        for w in level:
-            prev = -1
-            for i, sym in enumerate(w):
-                if sym != prev:
-                    add(w[:i] + w[i + 1 :])
-                    prev = sym
-        level = below
-    return level
-
-
 #: ``bytes.translate`` table sending every nonzero byte to 1.
 _NONZERO = bytes(1) + b"\x01" * 255
 
@@ -113,7 +93,7 @@ def _delete_one_per_run(
 ) -> tuple[list[bytes], array, list[int]]:
     """The next deletion level of the w-symbol members laid end to end in
     ``blob``: each new member beside its owner, grouped by the position p
-    deleted, with the index of each group's first member.
+    deleted, with the index just past each group.
 
     Read as one big-endian integer x, each member is a w-byte lane.  Lane by
     lane, y holds a zero byte, the member's bytes before p and its bytes after
@@ -121,8 +101,8 @@ def _delete_one_per_run(
     every lane; moving from p to p + 1 copies byte p of x into byte p + 1 of
     y.  Only the last symbol of a run is deleted (p = w - 1, or x_p differs
     from x_(p+1)), which leaves one member per run (Levenshtein, 1966).
-    Lane i loses p only when i >= first[p]; the caller passes the group
-    starts of the level above, so deletions run right to left.
+    Only lanes i >= first[p] lose p, and only they are cut; ``_peel`` passes
+    the group ends of the level above, so deletions run right to left.
     """
     lanes = len(owners)
     size = lanes * w
@@ -133,36 +113,43 @@ def _delete_one_per_run(
     ends = (x ^ shifted).to_bytes(size, "big").translate(_NONZERO)
     column = int.from_bytes((b"\xff" + bytes(w - 1)) * lanes, "big")
     y = x ^ (x & column)
-    cut = Struct(f"x{w - 1}s" * lanes).unpack
+    cut = Struct(f"x{w - 1}s" * lanes).unpack_from
     members: list[bytes] = []
     held = array("q")
-    starts: list[int] = []
+    after: list[int] = []
     for p in range(w):
-        starts.append(len(members))
-        keep = ends[p + 1 :: w] if p + 1 < w else b"\x01" * lanes
-        keep = bytes(first[p]) + keep[first[p] :]
-        members.extend(compress(cut(y.to_bytes(size, "big")), keep))
-        held.extend(compress(owners, keep))
+        f = first[p]
+        keep = ends[f * w + p + 1 :: w] if p + 1 < w else b"\x01" * (lanes - f)
+        cut_tail = Struct(f"x{w - 1}s" * (lanes - f)).unpack_from if f else cut
+        members.extend(compress(cut_tail(y.to_bytes(size, "big"), f * w), keep))
+        held.extend(compress(owners[f:], keep))
+        after.append(len(members))
         column >>= 8
         y ^= (y ^ shifted) & column
-    return members, held, starts
+    return members, held, after
+
+
+def _peel(blob: bytes, n: int, s: int, owners: range) -> tuple[list[bytes], Sequence[int]]:
+    """D_s of words ``owners`` of the n-symbol words laid end to end in
+    ``blob`` (one word at s = 0), each member beside its owner.  A member may
+    lose only a symbol left of the one it lost last, so each member of D_s is
+    reached once per owner, through its leftmost embedding: the only deletion
+    set whose every deleted symbol differs from the next kept one."""
+    members, first = [blob[owners.start * n : owners.stop * n]], [0] * n
+    for t in range(s):
+        members, owners, first = _delete_one_per_run(b"".join(members), n - t, owners, first)
+    return members, owners
 
 
 def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[int]]:
     """``sphere_collisions`` with each member packed and its owners given by
     their indices into ``code``.
 
-    The class is peeled one deletion level at a time for all its words at
-    once.  Deletions run right to left: a member of a level may lose only a
-    symbol left of the one it lost last.  With one deletion per run, that
-    reaches each member of D_s once per owner, through its leftmost
-    embedding, the only deletion set whose every deleted symbol differs from
-    the next kept one; so no (member, owner) pair repeats and members can be
-    counted.  Words go in chunks that expand to at most about ``cap``
-    members.  A first pass counts each member's owners and the distinct
-    members against ``cap``; only members counted twice or more are grouped
-    by owner, in a second pass that rebuilds each chunk unless there was
-    only one.
+    ``_peel`` reaches no (member, owner) pair twice, so members are counted: a
+    first pass counts each member's owners and the distinct members against
+    ``cap``, in chunks of words that expand to at most about ``cap`` members;
+    a second pass groups by owner only the members counted twice or more,
+    rebuilding each chunk unless there was only one.
     """
     if not code:
         return {}
@@ -178,23 +165,10 @@ def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[
             raise ResourceLimitError(f"{k} distinct s={s} sphere members exceed cap {cap}")
         return {}
     step = max(1, cap // max(comb(n, t) for t in range(1, s + 1)))
-    chunks = range(0, k, step)
-
-    def chunk_pairs(start: int) -> tuple[list[bytes], Sequence[int]]:
-        members: list[bytes] = []
-        owners: Sequence[int] = range(start, min(start + step, k))
-        level = blob[start * n : (start + step) * n]
-        first = [0] * n
-        for t in range(s):
-            if t:
-                level = b"".join(members)
-            members, owners, starts = _delete_one_per_run(level, n - t, owners, first)
-            first = starts[1:]
-        return members, owners
-
+    chunks = [range(start, min(start + step, k)) for start in range(0, k, step)]
     counts: Counter[bytes] = Counter()
-    for start in chunks:
-        pairs = chunk_pairs(start)
+    for chunk in chunks:
+        pairs = _peel(blob, n, s, chunk)
         counts.update(pairs[0])
         if len(counts) > cap:
             raise ResourceLimitError(
@@ -204,8 +178,8 @@ def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[
         return {}
     hits = sorted(m for m, c in counts.items() if c > 1)
     shared: dict[bytes, list[int]] = {m: [] for m in hits}
-    for start in chunks:
-        members, owners = pairs if len(chunks) == 1 else chunk_pairs(start)
+    for chunk in chunks:
+        members, owners = pairs if len(chunks) == 1 else _peel(blob, n, s, chunk)
         for m, o in compress(zip(members, owners), map(shared.__contains__, members)):
             shared[m].append(o)
     for owners in shared.values():
@@ -216,7 +190,7 @@ def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[
 def sphere_members(word: Word, s: int, cap: int = DEFAULT_SPHERE_CAP) -> frozenset[Word]:
     """The member set of D_s(word)."""
     _check_sphere_args(len(word), s, cap)
-    return frozenset(tuple(m) for m in _packed_sphere(word, s))
+    return frozenset(map(tuple, _peel(_pack((word,)), len(word), s, range(1))[0]))
 
 
 def sphere_collisions(
@@ -236,26 +210,29 @@ def sphere_collisions(
     }
 
 
+def _match(word: Sequence[int], alphabet: int) -> list[int]:
+    """Bit i of entry sym marks word[i] == sym, for sym in range(alphabet)."""
+    match = [0] * alphabet
+    bit = 1
+    for sym in word:
+        match[sym] |= bit
+        bit <<= 1
+    return match
+
+
 def _first_meeting_pair(blob: bytes, n: int, s: int) -> tuple[int, int] | None:
     """Indices of the first pair of the n-symbol words laid end to end in
     ``blob``, in ``combinations`` order, whose LCS is at least n - s, or None.
 
-    Bit-parallel LCS (Allison and Dix, 1986): bit i of ``match[sym]`` marks
-    y[i] == sym, and after every symbol of x the zero bits of the low n bits of
-    v count LCS(x, y).  Carries past bit n - 1 never reach the low bits.
+    Bit-parallel LCS (Allison and Dix, 1986) against ``_match(y)``: after
+    every symbol of x, the zero bits of the low n bits of v count LCS(x, y).
+    Carries past bit n - 1 never reach the low bits.
     """
     code = unpack(f"{n}s" * (len(blob) // n), blob)
     low = (1 << n) - 1
     alphabet = max(blob) + 1
     # The first word is never the second of a pair, so it needs no table.
-    matches = []
-    for y in code[1:]:
-        match = [0] * alphabet
-        bit = 1
-        for sym in y:
-            match[sym] |= bit
-            bit <<= 1
-        matches.append(match)
+    matches = [_match(y, alphabet) for y in code[1:]]
     for i, x in enumerate(code):
         for j in range(i, len(matches)):
             match = matches[j]
@@ -266,6 +243,30 @@ def _first_meeting_pair(blob: bytes, n: int, s: int) -> tuple[int, int] | None:
             if (v & low).bit_count() <= s:
                 return i, j + 1
     return None
+
+
+def _least_common_member(x: Word, y: Word, s: int) -> Word:
+    """The least common subsequence of length n - s of two n-symbol words,
+    which is the least member of D_s(x) & D_s(y) when their LCS is that long.
+
+    Row i of the recurrence of ``_first_meeting_pair`` over x and y reversed
+    counts LCS(x[n - i :], y[n - j :]) in its zero bits below bit j; each step
+    takes the least symbol whose next occurrences leave a long enough LCS."""
+    n = len(x)
+    match = _match(y[::-1], 256)
+    rows = [(1 << n) - 1]
+    for sym in reversed(x):
+        u = rows[-1] & match[sym]
+        rows.append((rows[-1] + u) | (rows[-1] - u))
+    member, i, j = [], 0, 0
+    for need in range(n - s - 1, -1, -1):
+        for sym in sorted(set(x[i:]) & set(y[j:])):
+            a, b = x.index(sym, i) + 1, y.index(sym, j) + 1
+            if n - b - (rows[n - a] & ((1 << (n - b)) - 1)).bit_count() >= need:
+                break
+        member.append(sym)
+        i, j = a, b
+    return tuple(member)
 
 
 def check_deletion_correcting(
@@ -306,5 +307,4 @@ def check_deletion_correcting(
     if pair is None:
         return CorrectionReport(ok=True)
     x, y = (code[i] for i in pair)
-    shared = tuple(min(_packed_sphere(x, s) & _packed_sphere(y, s)))
-    return CorrectionReport(ok=False, witness=(x, y, shared))
+    return CorrectionReport(ok=False, witness=(x, y, _least_common_member(x, y, s)))

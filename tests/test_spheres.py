@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naisargik import (
@@ -110,11 +110,12 @@ def test_oracle_equivalence_exhaustive_small():
 
 
 @settings(max_examples=300, deadline=None)
-@given(words_strategy(max_len=10), st.integers(min_value=0, max_value=3))
-def test_oracle_equivalence_random(word_q, s):
+@given(words_strategy(max_len=10), st.data())
+def test_oracle_equivalence_random(word_q, data):
+    # s runs up to the word length, so the kernel's deeper levels, which cut
+    # only the lanes that may still lose a symbol, are checked too.
     word, _ = word_q
-    if s > len(word):
-        s = len(word)
+    s = data.draw(st.integers(min_value=0, max_value=len(word)))
     assert sphere_members(word, s) == sphere_by_index_subsets(word, s)
 
 
@@ -204,11 +205,11 @@ def test_collisions_match_brute_force(q, n, s, data):
 
 def per_word_collisions(code, s):
     """The oracle of ``sphere_collisions``: the union of the words'
-    ``sphere_members``, each member shared by two or more words mapped to its
-    owners in code order, members ascending."""
+    index-subset spheres, each member shared by two or more words mapped to
+    its owners in code order, members ascending."""
     owners = {}
     for w in code:
-        for member in sphere_members(w, s):
+        for member in sphere_by_index_subsets(w, s):
             owners.setdefault(member, []).append(w)
     return {m: ws for m, ws in sorted(owners.items()) if len(ws) >= 2}
 
@@ -283,6 +284,30 @@ def test_chunked_classes_give_the_unchunked_answer(s):
 def test_sphere_collisions_rejects_mixed_lengths():
     with pytest.raises(ValueError, match="single word length"):
         sphere_collisions([(0, 1), (0, 1, 0)], 1)
+
+
+@st.composite
+def meeting_pairs(draw, max_len=10):
+    """Two words of one length n <= max_len over Z_q, q <= 4, sometimes with
+    symbol 255 in one of them, and any s at which their spheres meet."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(0, max_len))
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    x, y = draw(word), tuple(draw(word))
+    if n and draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = 255
+    x = tuple(x)
+    return x, y, draw(st.integers(n - lcs_length(x, y), n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(meeting_pairs())
+@example(((0, 1, 1, 0), (1, 0, 0, 1), 4))  # s = n: the witness is ()
+@example(((255, 1, 0), (1, 0, 255), 1))
+def test_least_common_member_is_the_least_shared_sphere_member(pair):
+    x, y, s = pair
+    shared = sphere_by_index_subsets(x, s) & sphere_by_index_subsets(y, s)
+    assert spheres._least_common_member(x, y, s) == min(shared)
 
 
 class TestCorrectionCheck:
