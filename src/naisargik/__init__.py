@@ -25,7 +25,13 @@ from .maps import (
     all_bijections,
     naisargik_map,
 )
-from .spheres import CorrectionReport, check_deletion_correcting, sphere_collisions, sphere_members
+from .spheres import (
+    CorrectionReport,
+    check_codebooks,
+    check_deletion_correcting,
+    sphere_collisions,
+    sphere_members,
+)
 from .verify import (
     CampaignCell,
     CampaignResult,

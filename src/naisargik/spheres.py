@@ -4,19 +4,21 @@ The s-deletion sphere D_s(x) of a word x is the set of all distinct
 length-(|x|-s) subsequences of x.  A codebook corrects s deletions exactly when
 all pairwise spheres are disjoint, and two length-n words' spheres meet exactly
 when their longest common subsequence (LCS) has length at least n - s
-(Levenshtein, 1966).  ``check_deletion_correcting`` decides a codebook by one
-of two routes, chosen per call from its size k, its length n and s:
+(Levenshtein, 1966).  ``check_codebooks`` decides many codebooks at once, and
+``check_deletion_correcting`` one; each codebook goes by one of two routes,
+chosen from its size k, its length n and s:
 
-* pairs: the LCS of each pair in ``combinations`` order over the sorted
-  codebook, by the bit-parallel recurrence of Allison and Dix (1986), O(n)
-  integer operations a pair, stopping at the first pair that meets;
+* pairs: the LCS of every pair over the sorted codebook, by the bit-parallel
+  recurrence of Allison and Dix (1986), run by ``_first_meeting_pairs`` on
+  every pair of a whole chunk of codebooks at once, one lane per pair;
 * hashing: ``sphere_collisions`` hashes every sphere member once, k spheres
   in all.
 
-Pairs are taken when (k - 1) * n <= 12 * C(ceil(n/2) + s - 1, s); the right
-side estimates one sphere by a word of ceil(n/2) runs.  Both routes report the
-same canonical witness: the lexicographically first pair that meets and the
-smallest member of its two spheres' intersection.
+Pairs are taken when (k - 1) * n <= 40 * C(ceil(n/2) + s - 1, s), the right
+side estimating one sphere by a word of ceil(n/2) runs, and when the
+codebook's pairs hold at most ``cap`` lane symbols (pairs times n).  Both
+routes report the same canonical witness: the lexicographically first pair
+that meets and the smallest member of its two spheres' intersection.
 
 One kernel, ``_peel``, builds every sphere, level by level and for all words
 of a class at once, deleting one symbol per run only: deleting any symbol of
@@ -35,10 +37,10 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import accumulate, chain, combinations, compress
 from math import comb
 from operator import lt
-from struct import Struct, unpack
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .words import Word, ResourceLimitError
@@ -47,8 +49,8 @@ from .words import Word, ResourceLimitError
 DEFAULT_SPHERE_CAP = 10_000_000
 
 #: A class goes by pairs while (k - 1) * n is at most this many times the
-#: estimated size of one sphere (see ``check_deletion_correcting``).
-_PAIRS_PER_MEMBER = 12
+#: estimated size of one sphere (see ``check_codebooks``).
+_PAIRS_PER_MEMBER = 40
 
 
 @dataclass(frozen=True)
@@ -210,101 +212,217 @@ def sphere_collisions(
     }
 
 
-def _match(word: Sequence[int], alphabet: int) -> list[int]:
-    """Bit i of entry sym marks word[i] == sym, for sym in range(alphabet)."""
-    match = [0] * alphabet
-    bit = 1
-    for sym in word:
-        match[sym] |= bit
-        bit <<= 1
-    return match
+#: ``bytes.translate`` table of the number of set bits in each byte.
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
 
 
-def _first_meeting_pair(blob: bytes, n: int, s: int) -> tuple[int, int] | None:
-    """Indices of the first pair of the n-symbol words laid end to end in
-    ``blob``, in ``combinations`` order, whose LCS is at least n - s, or None.
+def _sends(sym: int, value: int) -> bytes:
+    """``bytes.translate`` table sending byte ``sym`` to ``value``, every other to 0."""
+    return bytes(sym) + bytes((value,)) + bytes(255 - sym)
 
-    Bit-parallel LCS (Allison and Dix, 1986) against ``_match(y)``: after
-    every symbol of x, the zero bits of the low n bits of v count LCS(x, y).
-    Carries past bit n - 1 never reach the low bits.
+
+def _first_meeting_pairs(
+    blob: bytes, sizes: Sequence[int], n: int, s: int
+) -> list[tuple[int, int] | None]:
+    """For each class of the n-symbol words laid end to end in ``blob``,
+    ``sizes[c]`` words in class c, the indices within the class of its first
+    pair in ``combinations`` order whose LCS is at least n - s, or None.
+
+    Each pair (x_i, x_j), i < j, is one lane of w = ceil((n + 1) / 8) bytes of
+    a little-endian integer, and the bit-parallel LCS recurrence of Allison
+    and Dix (1986) runs on every lane at once.  The K classes of k words lie
+    side by side: pair p of ``combinations(range(k), 2)`` of the c-th of them
+    is lane p * K + c of their run, so column t of the x_i (or x_j) of a run
+    is joined from one extended slice per word index.  Bit b of a lane of
+    ``match[c]`` marks x_j[b] == c.  Step t selects in each lane the entry of
+    symbol x_i[t], by one mask per symbol that is all ones on the lanes where
+    x_i[t] == c.  u = v & match lies within v, so v - u borrows nothing, and
+    the carry of v + u out of a lane's low n bits stops in its guard bits,
+    which ``low`` clears.  Then the zero bits of a lane count LCS(x_i, x_j),
+    so the pair meets when the lane holds at most s ones.
     """
-    code = unpack(f"{n}s" * (len(blob) // n), blob)
-    low = (1 << n) - 1
-    alphabet = max(blob) + 1
-    # The first word is never the second of a pair, so it needs no table.
-    matches = [_match(y, alphabet) for y in code[1:]]
-    for i, x in enumerate(code):
-        for j in range(i, len(matches)):
-            match = matches[j]
-            v = low
-            for sym in x:
-                u = v & match[sym]
-                v = (v + u) | (v - u)
-            if (v & low).bit_count() <= s:
-                return i, j + 1
-    return None
+    starts = list(accumulate((k * n for k in sizes), initial=0))
+    runs: dict[int, list[int]] = {}
+    for c, k in enumerate(sizes):
+        if k > 1:
+            runs.setdefault(k, []).append(c)
+    xcols: list[list[bytes]] = [[] for _ in range(n)]
+    ycols: list[list[bytes]] = [[] for _ in range(n)]
+    lanes = 0
+    for k, run in runs.items():
+        K = len(run)
+        words = b"".join([blob[starts[c] : starts[c + 1]] for c in run])
+        for t in range(n):
+            # Symbol t of word j of every class of the run, for each j.
+            column = [words[j * n + t :: k * n] for j in range(k)]
+            joined = b"".join(column)
+            xcols[t] += [column[i] * (k - 1 - i) for i in range(k - 1)]
+            ycols[t] += [joined[(i + 1) * K :] for i in range(k - 1)]
+        lanes += K * k * (k - 1) // 2
+    xs = [b"".join(column) for column in xcols]
+    ys = [b"".join(column) for column in ycols]
+    w = n // 8 + 1
+    size = lanes * w
+    width = (1 << n) - 1
+    low = int.from_bytes((b"\x01" + bytes(w - 1)) * lanes, "little") * width
+    # The distinct symbols, each found by one pass that deletes those before.
+    symbols, rest = [], blob
+    while rest:
+        symbols.append(rest[0])
+        rest = rest.translate(None, bytes(symbols))
+    # Eight columns of the x_j fill one byte of every lane, written into
+    # ``lane`` by one extended-slice assignment.
+    lane = bytearray(size)
+    match = {}
+    for c in sorted(symbols)[1:]:
+        for g in range(w):
+            bits = 0
+            for b in range(8 * g, min(8 * g + 8, n)):
+                bits |= int.from_bytes(ys[b].translate(_sends(c, 1 << b % 8)), "little")
+            lane[g::w] = bits.to_bytes(lanes, "little")
+        match[c] = int.from_bytes(lane, "little")
+    # Every lane holds one symbol at each step, so the least symbol's entry
+    # is ``low`` without the others, and it selects every entry together with
+    # the difference to each other symbol's entry on the lanes holding it.
+    base = low
+    for entry in match.values():
+        base ^= entry
+    others = [(_sends(c, 1), base ^ entry) for c, entry in match.items()]
+    lane = bytearray(size)
+    v = low
+    for t in range(n):
+        selected = base
+        for table, diff in others:
+            lane[::w] = xs[t].translate(table)
+            selected ^= diff & int.from_bytes(lane, "little") * width
+        u = v & selected
+        v = ((v + u) | (v - u)) & low
+    ones = v.to_bytes(size, "little").translate(_POPCOUNT)
+    if w < 32:
+        # Byte w - 1 of each lane of the product sums the lane's w byte
+        # counts; no sum of w byte counts passes 8w < 256, so none carries.
+        spread = int.from_bytes(b"\x01" * w, "little")
+        counts = (int.from_bytes(ones, "little") * spread).to_bytes(size + w, "little")
+        meets = counts[w - 1 : size : w].translate(bytes(c <= s for c in range(256)))
+    else:
+        meets = bytes(sum(ones[i : i + w]) <= s for i in range(0, size, w))
+    found: list[tuple[int, int] | None] = [None] * len(sizes)
+    at = 0
+    for k, run in runs.items():
+        K = len(run)
+        stop = at + K * k * (k - 1) // 2
+        if meets.find(1, at, stop) >= 0:
+            pairs = list(combinations(range(k), 2))
+            for offset, c in enumerate(run):
+                p = meets[at + offset : stop : K].find(1)
+                if p >= 0:
+                    found[c] = pairs[p]
+        at = stop
+    return found
 
 
 def _least_common_member(x: Word, y: Word, s: int) -> Word:
     """The least common subsequence of length n - s of two n-symbol words,
     which is the least member of D_s(x) & D_s(y) when their LCS is that long.
 
-    Row i of the recurrence of ``_first_meeting_pair`` over x and y reversed
+    Row i of the LCS recurrence (Allison and Dix, 1986) over x and y reversed
     counts LCS(x[n - i :], y[n - j :]) in its zero bits below bit j; each step
     takes the least symbol whose next occurrences leave a long enough LCS."""
     n = len(x)
-    match = _match(y[::-1], 256)
+    match: dict[int, int] = {}
+    for j, sym in enumerate(reversed(y)):
+        match[sym] = match.get(sym, 0) | 1 << j
     rows = [(1 << n) - 1]
     for sym in reversed(x):
-        u = rows[-1] & match[sym]
+        u = rows[-1] & match.get(sym, 0)
         rows.append((rows[-1] + u) | (rows[-1] - u))
+    symbols = sorted(match.keys() & set(x))
+    xb, yb = bytes(x), bytes(y)
     member, i, j = [], 0, 0
     for need in range(n - s - 1, -1, -1):
-        for sym in sorted(set(x[i:]) & set(y[j:])):
-            a, b = x.index(sym, i) + 1, y.index(sym, j) + 1
-            if n - b - (rows[n - a] & ((1 << (n - b)) - 1)).bit_count() >= need:
+        for sym in symbols:
+            a, b = xb.find(sym, i) + 1, yb.find(sym, j) + 1
+            if a and b and n - b - (rows[n - a] & ((1 << (n - b)) - 1)).bit_count() >= need:
                 break
         member.append(sym)
         i, j = a, b
     return tuple(member)
 
 
+def check_codebooks(
+    codebooks: Iterable[Iterable[Word]], s: int, cap: int = DEFAULT_SPHERE_CAP
+) -> list[CorrectionReport]:
+    """Decide, for each codebook in turn, whether it corrects s deletions.
+
+    All codewords of one codebook must share one length n >= s.  A sphere
+    member shared by two codewords is a violation.  The reported witness pair
+    is the lexicographically first violating pair, independent of iteration
+    order and of the route (see the module docstring): the pair route meets
+    it first, and on the hashing route it leads the owner list of each member
+    it shares, since a smaller first owner, or a word between the two, would
+    make a smaller pair.  A strictly ascending list or tuple is not re-sorted.
+
+    The codebooks on the pair route go to ``_first_meeting_pairs`` together,
+    in chunks of one word length and at most ``cap`` lane symbols (pairs
+    times n); a codebook whose own pairs hold more goes by hashing.
+    """
+    passed = CorrectionReport(ok=True)
+    reports: list[CorrectionReport] = []
+    chunks: list[tuple[int, list[int], list[Sequence[Word]]]] = []
+    bounds: dict[int, int] = {}
+    held = 0
+    for codewords in codebooks:
+        code = codewords if isinstance(codewords, (list, tuple)) else list(codewords)
+        if not all(map(lt, code, code[1:])):
+            code = sorted(set(code))
+        reports.append(passed)
+        if not code:
+            continue
+        n, k = len(code[0]), len(code)
+        if set(map(len, code)) != {n}:
+            raise ValueError("codebook must have a single word length")
+        if n not in bounds:
+            _check_sphere_args(n, s, cap)
+            # Pairs cost about k^2 * n / 2 lane steps and hashing k spheres,
+            # estimated at C(ceil(n/2) + s - 1, s) members each.  Timed on 193
+            # campaign classes (n = 6..18, s = 1 and 2, k <= 172; 2 vCPUs,
+            # Python 3.11), each class's pairs as a tenth of one kernel call
+            # on ten copies of it: at s = 1 the two routes cost the same where
+            # (k - 1) * n is about 40 times the estimate (k of 21 to 23 at
+            # n = 8), and pairs cost more on every class from 58 times on
+            # (k of 30 to 172 at n = 8..11); at s = 2 pairs cost at most a
+            # quarter of hashing on every class (up to 17 times the estimate,
+            # 43 words of length 18), and no class at s >= 3 reached 3 times.
+            # Factors from 24 to 128 keep the summed time of both routes
+            # within 1 % of the best single factor, 38.
+            bounds[n] = _PAIRS_PER_MEMBER * comb((n + 1) // 2 + s - 1, s)
+        lane_symbols = k * (k - 1) // 2 * n
+        if (k - 1) * n > bounds[n] or lane_symbols > cap:
+            shared = sphere_collisions(code, s, cap)
+            witness = min(((o[0], o[1], m) for m, o in shared.items()), default=None)
+            reports[-1] = CorrectionReport(ok=witness is None, witness=witness)
+        elif k == 1:
+            _pack(code)  # only to check the symbol range
+        else:
+            if not chunks or chunks[-1][0] != n or held + lane_symbols > cap:
+                chunks.append((n, [], []))
+                held = 0
+            chunks[-1][1].append(len(reports) - 1)
+            chunks[-1][2].append(code)
+            held += lane_symbols
+    for n, where, codes in chunks:
+        blob = _pack(list(chain.from_iterable(codes)))
+        pairs = _first_meeting_pairs(blob, list(map(len, codes)), n, s)
+        for r, code, pair in zip(where, codes, pairs):
+            if pair is not None:
+                x, y = code[pair[0]], code[pair[1]]
+                witness = (x, y, _least_common_member(x, y, s))
+                reports[r] = CorrectionReport(ok=False, witness=witness)
+    return reports
+
+
 def check_deletion_correcting(
     codewords: Iterable[Word], s: int, cap: int = DEFAULT_SPHERE_CAP
 ) -> CorrectionReport:
-    """Decide whether a codebook corrects s deletions.
-
-    All codewords must share one length n >= s.  A sphere member shared by
-    two codewords is a violation.  The reported witness pair is the
-    lexicographically first violating pair, independent of iteration order
-    and of the route (see the module docstring): the pair route meets it
-    first, and on the hashing route it leads the owner list of each member it
-    shares, since a smaller first owner, or a word between the two, would
-    make a smaller pair.  A strictly ascending list or tuple is not re-sorted.
-    """
-    code = codewords if isinstance(codewords, (list, tuple)) else list(codewords)
-    if not all(map(lt, code, code[1:])):
-        code = sorted(set(code))
-    if not code:
-        return CorrectionReport(ok=True)
-    n, k = len(code[0]), len(code)
-    if set(map(len, code)) != {n}:
-        raise ValueError("codebook must have a single word length")
-    _check_sphere_args(n, s, cap)
-    # Pairs cost about k^2 * n / 2 steps and hashing k spheres, estimated at
-    # C(ceil(n/2) + s - 1, s) members each.  Timed on 301 campaign classes
-    # (n = 6..18, s = 1..4, k <= 43; 2 vCPUs, Python 3.11), the two routes
-    # cost the same where (k - 1) * n is 12 to 14 times the estimate at s = 1
-    # (k of 8 or 9 at n = 6..9) and 9 to 10 times at s = 2 (k of 23 to 26 at
-    # n = 16..18); no class at s >= 3 came near.  A factor of 12 keeps the
-    # summed time of both routes within 3 % of the best single factor.
-    if (k - 1) * n > _PAIRS_PER_MEMBER * comb((n + 1) // 2 + s - 1, s):
-        shared = sphere_collisions(code, s, cap)
-        witness = min(((o[0], o[1], m) for m, o in shared.items()), default=None)
-        return CorrectionReport(ok=witness is None, witness=witness)
-    blob = _pack(code)
-    pair = None if k == 1 else _first_meeting_pair(blob, n, s)
-    if pair is None:
-        return CorrectionReport(ok=True)
-    x, y = (code[i] for i in pair)
-    return CorrectionReport(ok=False, witness=(x, y, _least_common_member(x, y, s)))
+    """Decide whether one codebook corrects s deletions (see ``check_codebooks``)."""
+    return check_codebooks([codewords], s, cap)[0]

@@ -3,9 +3,12 @@
 Each campaign sweeps a parameter grid (usually the residues of one codebook
 family), runs one cell per grid point (mostly an exhaustive sphere check),
 and aggregates verdicts into a CampaignResult that serializes to JSON.  The
-class campaigns share one runner, ``_correction_cells``; its cells are
-independent, so it may fan residues out across worker processes and merges
-results in residue order, making output identical for every worker count.
+class campaigns share one runner, ``_correction_cells``.  A cell function
+takes a list of inputs and returns their cells, so one call decides a whole
+campaign (one ``check_codebooks`` call for its sphere checks); the cells are
+independent, so the runner may instead fan chunks of residues out across
+worker processes and join their cells in residue order, making output
+identical for every worker count.
 
 Deletion commutes with every symbol permutation and with reversal
 (Levenshtein 1966), so two cells whose inputs such a symmetry carries onto
@@ -23,7 +26,8 @@ cell.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Hashable, Sequence
 
 from .helberg import (
@@ -37,7 +41,7 @@ from .helberg import (
     weight_sequence,
 )
 from .maps import SymbolMap, naisargik_map
-from .spheres import CorrectionReport, check_deletion_correcting
+from .spheres import CorrectionReport, check_codebooks
 from .vt import equal_weight_scan, guard_vt_space, qary_vt_classes
 from .words import DEFAULT_MAX_ENUM, Word, format_word
 
@@ -94,43 +98,42 @@ def _witness_detail(report: CorrectionReport) -> dict:
     }
 
 
-def _correction_cell(args: tuple) -> CampaignCell:
-    label, codewords, check_s = args
-    report = check_deletion_correcting(codewords, check_s)
-    return CampaignCell(
-        label=label,
-        passed=report.ok,
-        detail={"codewords": len(codewords), **_witness_detail(report)},
-    )
+def _correction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCell]:
+    codebooks = [ws for _, ws in inputs]
+    return [
+        CampaignCell(label, report.ok, {"codewords": len(ws), **_witness_detail(report)})
+        for (label, ws), report in zip(inputs, check_codebooks(codebooks, check_s))
+    ]
 
 
-def _reduction_cell(args: tuple) -> CampaignCell:
-    label, codewords, check_s = args
-    red = reduction_code(frozenset(codewords))
-    report = check_deletion_correcting(red, check_s)
-    return CampaignCell(
-        label=label,
-        passed=report.ok,
-        detail={
-            "codewords": len(codewords),
-            "reduced": len(red),
-            **_witness_detail(report),
-        },
-    )
+def _reduction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCell]:
+    reduced = [reduction_code(frozenset(ws)) for _, ws in inputs]
+    return [
+        CampaignCell(
+            label,
+            report.ok,
+            {"codewords": len(ws), "reduced": len(red), **_witness_detail(report)},
+        )
+        for (label, ws), red, report in zip(inputs, reduced, check_codebooks(reduced, check_s))
+    ]
 
 
-def _torsion_cell(args: tuple) -> CampaignCell:
-    label, codewords, _ = args
-    tor = torsion_code(frozenset(codewords))
-    return CampaignCell(
-        label=label,
-        passed=len(tor) <= 1,
-        detail={
-            "codewords": len(codewords),
-            "torsion_size": len(tor),
-            "torsion": sorted(format_word(w) for w in tor),
-        },
-    )
+def _torsion_batch(_: None, inputs: Sequence[tuple]) -> list[CampaignCell]:
+    cells = []
+    for label, codewords in inputs:
+        tor = torsion_code(frozenset(codewords))
+        cells.append(
+            CampaignCell(
+                label=label,
+                passed=len(tor) <= 1,
+                detail={
+                    "codewords": len(codewords),
+                    "torsion_size": len(tor),
+                    "torsion": sorted(format_word(w) for w in tor),
+                },
+            )
+        )
+    return cells
 
 
 def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
@@ -139,49 +142,61 @@ def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
 
 
 def _run_cells(
-    inputs: Sequence[tuple], fn: Callable[[tuple], CampaignCell], workers: int = 1
+    inputs: Sequence[tuple],
+    fn: Callable[[Sequence[tuple]], list[CampaignCell]],
+    workers: int = 1,
 ) -> list[CampaignCell]:
+    """``fn`` on ``inputs``, which returns one cell per input in their order.
+
+    One worker takes every input in one call; more split them into chunks in
+    order, one call per chunk, and join the chunks' cells in that order."""
     import os
 
     workers = effective_workers(workers, len(inputs), os.cpu_count())
     if workers <= 1:
-        return [fn(item) for item in inputs]
+        return fn(inputs)
+    size = max(1, len(inputs) // (4 * workers))
+    chunks = [inputs[start : start + size] for start in range(0, len(inputs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, inputs, chunksize=max(1, len(inputs) // (4 * workers))))
+        return [cell for cells in pool.map(fn, chunks) for cell in cells]
 
 
-def _equal_weight_cell(args: tuple) -> CampaignCell:
-    n, name, limit = args
-    pairs, bad = equal_weight_scan(n, naisargik_map(name), limit)
-    detail: dict = {"intersecting_pairs": pairs}
-    if bad is not None:
-        detail["witness"] = {"x": format_word(bad[0]), "y": format_word(bad[1])}
-    return CampaignCell(label=name, passed=bad is None, detail=detail)
+def _equal_weight_batch(inputs: Sequence[tuple]) -> list[CampaignCell]:
+    cells = []
+    for n, name, limit in inputs:
+        pairs, bad = equal_weight_scan(n, naisargik_map(name), limit)
+        detail: dict = {"intersecting_pairs": pairs}
+        if bad is not None:
+            detail["witness"] = {"x": format_word(bad[0]), "y": format_word(bad[1])}
+        cells.append(CampaignCell(label=name, passed=bad is None, detail=detail))
+    return cells
 
 
 def _run_orbits(
-    items: Sequence[tuple[Hashable, str, tuple]], fn: Callable[[tuple], CampaignCell], workers: int
+    items: Sequence[tuple[Hashable, str, tuple]],
+    fn: Callable[[Sequence[tuple]], list[CampaignCell]],
+    workers: int,
 ) -> list[CampaignCell]:
     """Cells of ``fn`` on (orbit, label, input) items, in their order, deciding one per orbit.
 
-    Items of one orbit must share ``fn``'s verdict and counts.  Only the first
-    item of each orbit goes to ``_run_cells``; a later one takes a passing
-    first cell under its own label.  When the first cell fails, the later ones
-    are decided too, in a second ``_run_cells`` round, so each failing cell
-    reports its own canonical witness.
+    Items of one orbit must share ``fn``'s verdict and counts.  The first
+    item of every orbit goes to ``_run_cells`` in one round; a later one
+    takes a passing first cell under its own label.  When the first cell
+    fails, the later ones are decided too, in a second round, so each failing
+    cell reports its own canonical witness.
     """
     first: dict[Hashable, int] = {}
-    for i, (orbit, _, _) in enumerate(items):
-        first.setdefault(orbit, i)
-    done = dict(zip(first.values(), _run_cells([items[i][2] for i in first.values()], fn, workers)))
-    redo = [
-        i for i, (orbit, _, _) in enumerate(items)
-        if i not in done and not done[first[orbit]].passed
-    ]
-    done.update(zip(redo, _run_cells([items[i][2] for i in redo], fn, workers)))
+    heads = [first.setdefault(orbit, i) for i, (orbit, _, _) in enumerate(items)]
+    cells: list[CampaignCell | None] = [None] * len(items)
+    leaders = list(first.values())
+    for i, cell in zip(leaders, _run_cells([items[i][2] for i in leaders], fn, workers)):
+        cells[i] = cell
+    redo = [i for i, head in enumerate(heads) if head != i and not cells[head].passed]
+    for i, cell in zip(redo, _run_cells([items[i][2] for i in redo], fn, workers)):
+        cells[i] = cell
     return [
-        done[i] if i in done else replace(done[first[orbit]], label=label)
-        for i, (orbit, label, _) in enumerate(items)
+        CampaignCell(label, cells[head].passed, cells[head].detail) if cell is None else cell
+        for cell, head, (_, label, _) in zip(cells, heads, items)
     ]
 
 
@@ -192,8 +207,8 @@ def _complement(n: int, q: int, s: int, top: int) -> Callable[[int], int]:
     mod m; the orbit is the smaller of the two residues.
     """
     w = weight_sequence(n, q, s)
-    total = top * sum(w.values[:-1])
-    return lambda a: min(a, (total - a) % w.modulus)
+    total, m = top * sum(w.values[:-1]), w.modulus
+    return lambda a: min(a, (total - a) % m)
 
 
 def _reverse_complement(n: int, q: int) -> Callable[[tuple[int, int]], tuple[int, int]]:
@@ -255,7 +270,7 @@ def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> 
     guard_vt_space(n, 4, limit)
     orbit = _ORBITS["equal-weight"]()
     items = [(orbit(naisargik_map(name)), name, (n, name, limit)) for name in names]
-    cells = _run_orbits(items, _equal_weight_cell, workers)
+    cells = _run_orbits(items, _equal_weight_batch, workers)
     return CampaignResult(
         campaign="equal-weight",
         params={"n": n, "maps": ",".join(names)},
@@ -266,16 +281,16 @@ def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> 
 
 def _correction_cells(
     classes: dict[int | tuple[int, int], tuple[Word, ...]],
-    cell: Callable[[tuple], CampaignCell],
+    batch: Callable[[int | None, Sequence[tuple]], list[CampaignCell]],
     check_s: int | None,
     workers: int,
     min_size: int = 2,
     orbit: Callable[[Hashable], Hashable] | None = None,
 ) -> tuple[CampaignCell, ...]:
-    """Run ``cell`` on ``(label, words, check_s)`` for each class of ``min_size`` words or more.
+    """Cells of ``batch`` at ``check_s``, one per class of ``min_size`` or more words.
 
     Smaller classes are trivial: they get no cell, so a campaign tallies them
-    as its residues minus its cells.  The cell sees each class as built: a
+    as its residues minus its cells.  The batch sees each class as built: a
     campaign over mapped words builds its classes through the map
     (``helberg_classes(..., smap)``), so no codeword is mapped here.  A class
     keyed by a residue pair is labelled ``a=..,b=..``.  With ``orbit`` (built
@@ -286,8 +301,8 @@ def _correction_cells(
     for key, ws in classes.items():
         if len(ws) >= min_size:
             label = f"a={key[0]},b={key[1]}" if isinstance(key, tuple) else f"a={key}"
-            items.append((key if orbit is None else orbit(key), label, (label, ws, check_s)))
-    return tuple(_run_orbits(items, cell, workers))
+            items.append((key if orbit is None else orbit(key), label, (label, ws)))
+    return tuple(_run_orbits(items, partial(batch, check_s), workers))
 
 
 def _class_summary(m: int, classes: dict[int, tuple[Word, ...]], cells: tuple) -> dict:
@@ -318,7 +333,7 @@ def verify_image_correction(
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n, 4, s, limit, smap)
     orbit = _ORBITS["image-correction"](n, s, smap)
-    cells = _correction_cells(classes, _correction_cell, s + 1, workers, orbit=orbit)
+    cells = _correction_cells(classes, _correction_batch, s + 1, workers, orbit=orbit)
     return CampaignResult(
         campaign="image-correction",
         params={"n": n, "q": 4, "s": s, "check_s": s + 1, "map": smap.name},
@@ -341,7 +356,7 @@ def verify_inverse_correction(
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n_bits, 2, s, limit, smap)
     orbit = _ORBITS["inverse-correction"](n_bits, s)
-    cells = _correction_cells(classes, _correction_cell, s // 2, workers, orbit=orbit)
+    cells = _correction_cells(classes, _correction_batch, s // 2, workers, orbit=orbit)
     return CampaignResult(
         campaign="inverse-correction",
         params={"n": n_bits, "q": 2, "s": s, "check_s": s // 2, "map": smap.name},
@@ -438,7 +453,7 @@ def reduction_analysis(
     """
     check = s if check_s is None else check_s
     m, classes = helberg_classes(n, 4, s, limit)
-    cells = _correction_cells(classes, _reduction_cell, check, workers, min_size=1)
+    cells = _correction_cells(classes, _reduction_batch, check, workers, min_size=1)
     passing = sum(1 for c in cells if c.passed)
     summary = {
         "modulus": m,
@@ -464,7 +479,7 @@ def torsion_analysis(
     that no residue carries a nontrivial torsion code.
     """
     m, classes = helberg_classes(n, 4, s, limit)
-    cells = _correction_cells(classes, _torsion_cell, None, workers, min_size=1)
+    cells = _correction_cells(classes, _torsion_batch, None, workers, min_size=1)
     sizes = sorted({c.detail["torsion_size"] for c in cells})
     summary = {"modulus": m, "torsion_sizes_seen": sizes}
     return CampaignResult(
@@ -483,7 +498,7 @@ def verify_vt_correction(
     # are 1..n and its modulus is n + 1.
     classes = helberg_classes(n, 2, 1, limit)[1] if q == 2 else qary_vt_classes(n, q, limit)
     orbit = _ORBITS["vt-correction"](n, q)
-    cells = _correction_cells(classes, _correction_cell, 1, workers, min_size=1, orbit=orbit)
+    cells = _correction_cells(classes, _correction_batch, 1, workers, min_size=1, orbit=orbit)
     return CampaignResult(
         campaign="vt-correction",
         params={"n": n, "q": q, "s": 1},
@@ -498,7 +513,7 @@ def verify_helberg_self(
     """Every Helberg codebook corrects its own deletion budget s."""
     m, classes = helberg_classes(n, q, s, limit)
     orbit = _ORBITS["helberg-self"](n, q, s)
-    cells = _correction_cells(classes, _correction_cell, s, workers, orbit=orbit)
+    cells = _correction_cells(classes, _correction_batch, s, workers, orbit=orbit)
     return CampaignResult(
         campaign="helberg-self",
         params={"n": n, "q": q, "s": s},

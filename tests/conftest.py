@@ -37,6 +37,33 @@ def least_colliding_pair(words, s):
     return None
 
 
+def first_meeting_pair(blob, n, s):
+    """Scalar oracle for ``spheres._first_meeting_pairs`` on one class: the
+    indices of the first pair of the n-symbol words laid end to end in
+    ``blob``, in ``combinations`` order, whose LCS is at least n - s, or None.
+
+    Bit-parallel LCS (Allison and Dix, 1986), one pair at a time: bit i of
+    ``match[sym]`` marks y[i] == sym, and after every symbol of x the zero bits
+    of the low n bits of v count LCS(x, y).
+    """
+    code = [blob[i : i + n] for i in range(0, len(blob), n)]
+    low = (1 << n) - 1
+    matches = []
+    for y in code:
+        match = [0] * 256
+        for i, sym in enumerate(y):
+            match[sym] |= 1 << i
+        matches.append(match)
+    for i, j in itertools.combinations(range(len(code)), 2):
+        v = low
+        for sym in code[i]:
+            u = v & matches[j][sym]
+            v = (v + u) | (v - u)
+        if (v & low).bit_count() <= s:
+            return i, j
+    return None
+
+
 def lcs_length(x, y):
     """Textbook dynamic program for the longest common subsequence length."""
     row = [0] * (len(y) + 1)
@@ -90,13 +117,16 @@ def qary_vt_code_by_residues(n, q, a, b):
 def direct_route():
     """Second route for the orbit campaigns: inside, every cell is decided on its own.
 
-    ``verify._run_orbits`` is replaced by a loop that calls the cell function
-    on every input, in order, so no verdict is copied between classes or maps.
+    ``verify._run_orbits`` is replaced by a loop that calls the batch function
+    on every input in order, as a batch of one, so no verdict is copied
+    between classes or maps and no class shares a kernel call.
     """
+
+    def each(items, fn, workers):
+        return [cell for _, _, args in items for cell in fn([args])]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            verify_mod, "_run_orbits", lambda items, fn, workers: [fn(args) for _, _, args in items]
-        )
+        patch.setattr(verify_mod, "_run_orbits", each)
         yield
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from naisargik import (
     CorrectionReport,
     ResourceLimitError,
+    check_codebooks,
     check_deletion_correcting,
     helberg_classes,
     naisargik_map,
@@ -16,6 +17,7 @@ from naisargik import (
 )
 from naisargik import spheres
 from conftest import (
+    first_meeting_pair,
     lcs_length,
     least_colliding_pair,
     sphere_by_index_subsets,
@@ -310,6 +312,59 @@ def test_least_common_member_is_the_least_shared_sphere_member(pair):
     assert spheres._least_common_member(x, y, s) == min(shared)
 
 
+@st.composite
+def class_chunks(draw):
+    """Classes for one kernel call: 1 to 6 classes of 1 to 20 distinct sorted
+    words each, all of one length n in 1..24 (lanes of 1, 2 and 3 bytes), over
+    an alphabet of 1 to 4 symbols drawn from range(256), and any s in 0..n.
+    Small alphabets make pairs meet; at s = 0 a class of a few words already
+    lies past the route crossover, which only the kernel's callers apply."""
+    n = draw(st.integers(1, 24))
+    alphabet = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    word = st.lists(st.sampled_from(alphabet), min_size=n, max_size=n).map(tuple)
+    classes = st.lists(word, min_size=1, max_size=20, unique=True).map(sorted)
+    return draw(st.lists(classes, min_size=1, max_size=6)), n, draw(st.integers(0, n))
+
+
+#: At s = 1, 24 binary words of length 8 lie past the crossover, since
+#: 23 * 8 > 40 * C(4, 1), and meet; two words lie before it.
+_BOTH_SIDES = (
+    [sorted(itertools.product((0, 1), repeat=8))[100:124], [(0,) * 8, (1, 1, 0, 0, 1, 0, 1, 0)]],
+    8,
+    1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_chunks())
+@example(_BOTH_SIDES)
+@example(([[(255, 0, 255), (255, 255, 0)], [(7, 7, 7)]], 3, 1))
+def test_lane_kernel_meets_the_scalar_first_pair_of_each_class(chunk):
+    classes, n, s = chunk
+    blobs = [bytes(itertools.chain.from_iterable(code)) for code in classes]
+    found = spheres._first_meeting_pairs(b"".join(blobs), [len(c) for c in classes], n, s)
+    assert found == [first_meeting_pair(blob, n, s) for blob in blobs]
+
+
+def test_lane_kernel_counts_lanes_of_32_bytes_and_more():
+    # From n = 248 on a lane spans 32 bytes or more, past what one multiply
+    # can sum without carries; such lanes are counted one at a time.
+    # The three words lie 2, 1 and 3 deletions apart, pair by pair.
+    base = [i % 3 for i in range(260)]
+    words = [tuple(base), (1, 1, 1, *base[3:]), (2, *base[:-1])]
+    blob = bytes(itertools.chain.from_iterable(words))
+    found = [spheres._first_meeting_pairs(blob, [3], 260, s)[0] for s in (0, 1, 2, 3, 259)]
+    assert found == [first_meeting_pair(blob, 260, s) for s in (0, 1, 2, 3, 259)]
+    assert found == [None, (0, 2), (0, 1), (0, 1), (0, 1)]
+
+
+def test_both_sides_example_straddles_the_route_crossover():
+    classes, n, s = _BOTH_SIDES
+    bound = spheres._PAIRS_PER_MEMBER * comb((n + 1) // 2 + s - 1, s)
+    assert [(len(code) - 1) * n > bound for code in classes] == [True, False]
+    assert first_meeting_pair(bytes(itertools.chain.from_iterable(classes[0])), n, s)
+
+
 class TestCorrectionCheck:
     def test_singleton_passes_any_s(self):
         for s in range(4):
@@ -501,3 +556,43 @@ def test_pair_route_case_phi8_images_of_h_5_4_1(monkeypatch):
         (0, 1, 0, 0, 0, 0, 0, 0, 1, 0),
         (0, 0, 0, 0, 0, 0, 0, 0),
     )
+
+
+@st.composite
+def codebook_lists(draw):
+    """1 to 5 codebooks of ``codebooks``, of mixed lengths, and one s that
+    suits them all."""
+    drawn = draw(st.lists(codebooks(max_words=12), min_size=1, max_size=5))
+    return [code for code, _ in drawn], min(s for _, s in drawn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codebook_lists())
+def test_check_codebooks_reports_each_codebook_as_the_oracle(codes_s):
+    codes, s = codes_s
+    assert check_codebooks(codes, s) == [oracle_report(code, s) for code in codes]
+
+
+def test_cap_bounds_each_kernel_call_and_hashes_a_class_beyond_it(monkeypatch):
+    # At n = 6 a pair holds 6 lane symbols, so a cap of 20 takes three
+    # two-word classes per kernel call.  The five-word class lies before the
+    # crossover, (5 - 1) * 6 being less than C(3, 1) times the factor, but its
+    # ten pairs hold 60 symbols, so it hashes; its spheres hold fewer than 20
+    # distinct members.
+    pair = ROUTE_CLASSES["pairs"]
+    steps = [(0,) * (6 - i) + (1,) * i for i in range(5)]
+    codes = [pair] * 3 + [steps] + [pair] * 2
+    assert (5 - 1) * 6 <= spheres._PAIRS_PER_MEMBER * comb(3, 1)
+    calls, hashed = [], []
+    kernel, collisions = spheres._first_meeting_pairs, spheres.sphere_collisions
+    monkeypatch.setattr(
+        spheres,
+        "_first_meeting_pairs",
+        lambda blob, sizes, n, s: calls.append(list(sizes)) or kernel(blob, sizes, n, s),
+    )
+    monkeypatch.setattr(
+        spheres, "sphere_collisions", lambda *args: hashed.append(args[0]) or collisions(*args)
+    )
+    assert check_codebooks(codes, 1, cap=20) == [oracle_report(code, 1) for code in codes]
+    assert calls == [[2, 2, 2], [2, 2]]
+    assert hashed == [steps]

@@ -27,6 +27,7 @@ from naisargik import (
     verify_vt_correction,
     weight_sequence,
 )
+from naisargik import spheres
 from naisargik import tables as tables_mod
 from naisargik import verify as verify_mod
 from naisargik.cli import CAMPAIGNS
@@ -443,18 +444,29 @@ def test_failing_orbits_report_the_direct_witnesses():
         assert verify_image_correction(5, 2, PERM7).to_dict() == mirrored.to_dict()
 
 
-def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
-    checks = []
-    check = verify_mod.check_deletion_correcting
+def _count_kernel_classes(monkeypatch):
+    """The class sizes and word length of each kernel call, in order, from here on."""
+    calls = []
+    kernel = spheres._first_meeting_pairs
     monkeypatch.setattr(
-        verify_mod, "check_deletion_correcting", lambda ws, s: checks.append(s) or check(ws, s)
+        spheres,
+        "_first_meeting_pairs",
+        lambda blob, sizes, n, s: calls.append((list(sizes), n)) or kernel(blob, sizes, n, s),
     )
+    return calls
+
+
+def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
+    # Every class of H(10, 2, 2) has at most 8 words, so all go by pairs:
+    # one kernel call decides the first class of every orbit, and no other.
+    calls = _count_kernel_classes(monkeypatch)
     result = verify_helberg_self(10, 2, 2)
     assert result.passed
     _, classes = helberg_classes(10, 2, 2)
     orbit = verify_mod._ORBITS["helberg-self"](10, 2, 2)
     orbits = {orbit(a) for a, ws in classes.items() if len(ws) >= 2}
-    assert len(checks) == len(orbits) < len(result.cells)
+    assert len(calls) == 1
+    assert len(calls[0][0]) == len(orbits) < len(result.cells)
 
     scans = []
     scan = verify_mod.equal_weight_scan
@@ -465,6 +477,31 @@ def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
     )
     assert len(_scan_campaign(4, VT_MAP_NAMES, DEFAULT_MAX_ENUM, 1).cells) == 8
     assert scans == ["phi1", "phi3"]
+
+
+@pytest.mark.parametrize(
+    "campaign, cap",
+    [
+        (lambda: verify_helberg_self(10, 2, 2), 300),
+        (lambda: verify_image_correction(5, 2, PERM7), 120),
+    ],
+    ids=["helberg-self", "thm1-perm-7"],
+)
+def test_a_small_cap_splits_a_campaign_into_kernel_calls(monkeypatch, campaign, cap):
+    # A cap of ``cap`` lane symbols (pairs times n) holds a few classes per
+    # kernel call; the cells, witnesses included, do not change.  At the
+    # default cap each round of these campaigns is one kernel call.
+    expected = campaign().to_dict()
+    calls = _count_kernel_classes(monkeypatch)
+    campaign()
+    rounds = len(calls)
+    assert rounds <= 2
+    calls.clear()
+    check = verify_mod.check_codebooks
+    monkeypatch.setattr(verify_mod, "check_codebooks", lambda codes, s: check(codes, s, cap))
+    assert campaign().to_dict() == expected
+    assert len(calls) > rounds
+    assert all(sum(k * (k - 1) // 2 for k in sizes) * n <= cap for sizes, n in calls)
 
 
 @pytest.mark.parametrize(
