@@ -10,24 +10,25 @@ chosen from its size k, its length n and s:
 
 * pairs: the LCS of every pair over the sorted codebook, by the bit-parallel
   recurrence of Allison and Dix (1986), run by ``_first_meeting_pairs`` on
-  every pair of a whole chunk of codebooks at once, one lane per pair;
-* hashing: ``sphere_collisions`` hashes every sphere member once, k spheres
+  every pair of a whole chunk of codebooks at once, one lane per pair, with
+  the pairs' first and second words laid out in two lane blobs;
+* hashing: ``_shared_members`` hashes every sphere member once, k spheres
   in all.
 
 Pairs are taken when (k - 1) * n <= 40 * C(ceil(n/2) + s - 1, s), the right
 side estimating one sphere by a word of ceil(n/2) runs, and when the
 codebook's pairs hold at most ``cap`` lane symbols (pairs times n).  Both
-routes report the same canonical witness: the lexicographically first pair
-that meets and the smallest member of its two spheres' intersection.
+routes find the lexicographically first pair that meets, as the first
+meeting lane or as the least owner pair of a shared member, and take its
+witness, the smallest member of the two spheres' intersection, from one
+greedy walk over the LCS recurrence (``_least_common_member``).
 
 One kernel, ``_peel``, builds every sphere, level by level and for all words
 of a class at once, deleting one symbol per run only: deleting any symbol of
-a run gives the same word (Levenshtein, 1966).  The pair route builds no
-sphere: its witness, the least common subsequence of length n - s, comes
-from a greedy walk over the same LCS recurrence.  Members are packed as
+a run gives the same word (Levenshtein, 1966).  Members are packed as
 ``bytes``, one byte per symbol, so symbols lie in range(256); words cross
 the public API as ``tuple``s.  Any one sphere is refused when its C(n, s)
-index subsets exceed ``cap``, on both routes; ``sphere_collisions``, and so
+index subsets exceed ``cap``, on both routes; ``_shared_members``, and so
 only the hashing route, also refuses a class whose spheres hold more than
 ``cap`` distinct members, and expands at most about ``cap`` members at a time.
 """
@@ -35,9 +36,9 @@ only the hashing route, also refuses a class whose spheres hold more than
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, compress
+from itertools import chain, combinations, compress
 from math import comb
 from operator import lt
 from struct import Struct
@@ -79,6 +80,7 @@ def _check_sphere_args(n: int, s: int, cap: int) -> None:
 
 def _pack(words: Iterable[Word]) -> bytes:
     """The words end to end, one byte per symbol, packed in one C-level pass."""
+    words = list(words) if iter(words) is words else words  # read again on a bad symbol
     try:
         return bytes(bytearray(chain.from_iterable(words)))
     except ValueError:
@@ -222,54 +224,50 @@ def _sends(sym: int, value: int) -> bytes:
 
 
 def _first_meeting_pairs(
-    blob: bytes, sizes: Sequence[int], n: int, s: int
+    codes: Sequence[Sequence[Word]], n: int, s: int
 ) -> list[tuple[int, int] | None]:
-    """For each class of the n-symbol words laid end to end in ``blob``,
-    ``sizes[c]`` words in class c, the indices within the class of its first
-    pair in ``combinations`` order whose LCS is at least n - s, or None.
+    """For each class in ``codes`` of n-symbol words, n >= 1, the indices
+    within the class of its first pair in ``combinations`` order whose LCS
+    is at least n - s, or None.
 
     Each pair (x_i, x_j), i < j, is one lane of w = ceil((n + 1) / 8) bytes of
     a little-endian integer, and the bit-parallel LCS recurrence of Allison
-    and Dix (1986) runs on every lane at once.  The K classes of k words lie
-    side by side: pair p of ``combinations(range(k), 2)`` of the c-th of them
-    is lane p * K + c of their run, so column t of the x_i (or x_j) of a run
-    is joined from one extended slice per word index.  Bit b of a lane of
-    ``match[c]`` marks x_j[b] == c.  Step t selects in each lane the entry of
-    symbol x_i[t], by one mask per symbol that is all ones on the lanes where
-    x_i[t] == c.  u = v & match lies within v, so v - u borrows nothing, and
-    the carry of v + u out of a lane's low n bits stops in its guard bits,
-    which ``low`` clears.  Then the zero bits of a lane count LCS(x_i, x_j),
-    so the pair meets when the lane holds at most s ones.
+    and Dix (1986) runs on every lane at once.  The K classes of k words are
+    packed once, block i holding word i of each, so pair p of
+    ``combinations(range(k), 2)`` of the c-th is lane p * K + c of their run
+    when, for each i, the x-lanes repeat block i k - 1 - i times and the
+    y-lanes take the blocks after it.  Then column t of every x_i (or x_j) is
+    one extended slice, ``xblob[t::n]`` (or ``yblob[t::n]``), of the lane
+    blobs joined from every run.  Bit b of a lane of ``match[c]`` marks
+    x_j[b] == c.  Step t selects in each lane the entry of symbol x_i[t], by
+    one mask per symbol that is all ones on the lanes where x_i[t] == c.
+    u = v & match lies within v, so v - u borrows nothing, and the carry of
+    v + u out of a lane's low n bits stops in its guard bits, which ``low``
+    clears.  Then the zero bits of a lane count LCS(x_i, x_j), so the pair
+    meets when the lane holds at most s ones.
     """
-    starts = list(accumulate((k * n for k in sizes), initial=0))
-    runs: dict[int, list[int]] = {}
-    for c, k in enumerate(sizes):
+    runs: defaultdict[int, array] = defaultdict(lambda: array("q"))
+    for c, k in enumerate(map(len, codes)):
         if k > 1:
-            runs.setdefault(k, []).append(c)
-    xcols: list[list[bytes]] = [[] for _ in range(n)]
-    ycols: list[list[bytes]] = [[] for _ in range(n)]
-    lanes = 0
+            runs[k].append(c)
+    xlanes, ylanes, symbols = [], [], b""
     for k, run in runs.items():
-        K = len(run)
-        words = b"".join([blob[starts[c] : starts[c + 1]] for c in run])
-        for t in range(n):
-            # Symbol t of word j of every class of the run, for each j.
-            column = [words[j * n + t :: k * n] for j in range(k)]
-            joined = b"".join(column)
-            xcols[t] += [column[i] * (k - 1 - i) for i in range(k - 1)]
-            ycols[t] += [joined[(i + 1) * K :] for i in range(k - 1)]
-        lanes += K * k * (k - 1) // 2
-    xs = [b"".join(column) for column in xcols]
-    ys = [b"".join(column) for column in ycols]
+        block = len(run) * n
+        packed = _pack(chain.from_iterable(zip(*[codes[c] for c in run])))
+        # The distinct symbols, each found by one pass deleting those before.
+        while rest := packed.translate(None, symbols):
+            symbols += rest[:1]
+        packed = memoryview(packed)
+        for i in range(k - 1):
+            xlanes += [packed[i * block : (i + 1) * block]] * (k - 1 - i)
+            ylanes.append(packed[(i + 1) * block :])
+    xblob, yblob = b"".join(xlanes), b"".join(ylanes)
+    del xlanes, ylanes
+    lanes = len(xblob) // n
     w = n // 8 + 1
     size = lanes * w
     width = (1 << n) - 1
     low = int.from_bytes((b"\x01" + bytes(w - 1)) * lanes, "little") * width
-    # The distinct symbols, each found by one pass that deletes those before.
-    symbols, rest = [], blob
-    while rest:
-        symbols.append(rest[0])
-        rest = rest.translate(None, bytes(symbols))
     # Eight columns of the x_j fill one byte of every lane, written into
     # ``lane`` by one extended-slice assignment.
     lane = bytearray(size)
@@ -278,9 +276,10 @@ def _first_meeting_pairs(
         for g in range(w):
             bits = 0
             for b in range(8 * g, min(8 * g + 8, n)):
-                bits |= int.from_bytes(ys[b].translate(_sends(c, 1 << b % 8)), "little")
+                bits |= int.from_bytes(yblob[b::n].translate(_sends(c, 1 << b % 8)), "little")
             lane[g::w] = bits.to_bytes(lanes, "little")
         match[c] = int.from_bytes(lane, "little")
+    del yblob
     # Every lane holds one symbol at each step, so the least symbol's entry
     # is ``low`` without the others, and it selects every entry together with
     # the difference to each other symbol's entry on the lanes holding it.
@@ -291,9 +290,10 @@ def _first_meeting_pairs(
     lane = bytearray(size)
     v = low
     for t in range(n):
+        column = xblob[t::n]
         selected = base
         for table, diff in others:
-            lane[::w] = xs[t].translate(table)
+            lane[::w] = column.translate(table)
             selected ^= diff & int.from_bytes(lane, "little") * width
         u = v & selected
         v = ((v + u) | (v - u)) & low
@@ -306,7 +306,7 @@ def _first_meeting_pairs(
         meets = counts[w - 1 : size : w].translate(bytes(c <= s for c in range(256)))
     else:
         meets = bytes(sum(ones[i : i + w]) <= s for i in range(0, size, w))
-    found: list[tuple[int, int] | None] = [None] * len(sizes)
+    found: list[tuple[int, int] | None] = [None] * len(codes)
     at = 0
     for k, run in runs.items():
         K = len(run)
@@ -358,9 +358,9 @@ def check_codebooks(
     member shared by two codewords is a violation.  The reported witness pair
     is the lexicographically first violating pair, independent of iteration
     order and of the route (see the module docstring): the pair route meets
-    it first, and on the hashing route it leads the owner list of each member
-    it shares, since a smaller first owner, or a word between the two, would
-    make a smaller pair.  A strictly ascending list or tuple is not re-sorted.
+    it first, and hashing takes the least first two owners of a shared
+    member, as no member two words share has larger ones.  A strictly
+    ascending list or tuple is not re-sorted.
 
     The codebooks on the pair route go to ``_first_meeting_pairs`` together,
     in chunks of one word length and at most ``cap`` lane symbols (pairs
@@ -368,6 +368,7 @@ def check_codebooks(
     """
     passed = CorrectionReport(ok=True)
     reports: list[CorrectionReport] = []
+    found: list[tuple[int, Sequence[Word], Sequence[int] | None]] = []
     chunks: list[tuple[int, list[int], list[Sequence[Word]]]] = []
     bounds: dict[int, int] = {}
     held = 0
@@ -398,9 +399,8 @@ def check_codebooks(
             bounds[n] = _PAIRS_PER_MEMBER * comb((n + 1) // 2 + s - 1, s)
         lane_symbols = k * (k - 1) // 2 * n
         if (k - 1) * n > bounds[n] or lane_symbols > cap:
-            shared = sphere_collisions(code, s, cap)
-            witness = min(((o[0], o[1], m) for m, o in shared.items()), default=None)
-            reports[-1] = CorrectionReport(ok=witness is None, witness=witness)
+            owners = _shared_members(code, s, cap).values()
+            found.append((len(reports) - 1, code, min((o[:2] for o in owners), default=None)))
         elif k == 1:
             _pack(code)  # only to check the symbol range
         else:
@@ -411,13 +411,11 @@ def check_codebooks(
             chunks[-1][2].append(code)
             held += lane_symbols
     for n, where, codes in chunks:
-        blob = _pack(list(chain.from_iterable(codes)))
-        pairs = _first_meeting_pairs(blob, list(map(len, codes)), n, s)
-        for r, code, pair in zip(where, codes, pairs):
-            if pair is not None:
-                x, y = code[pair[0]], code[pair[1]]
-                witness = (x, y, _least_common_member(x, y, s))
-                reports[r] = CorrectionReport(ok=False, witness=witness)
+        found += zip(where, codes, _first_meeting_pairs(codes, n, s))
+    for r, code, pair in found:
+        if pair is not None:
+            x, y = code[pair[0]], code[pair[1]]
+            reports[r] = CorrectionReport(ok=False, witness=(x, y, _least_common_member(x, y, s)))
     return reports
 
 

@@ -9,7 +9,13 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from naisargik import binary_vt_residue, moment, qary_vt_residues, weight_sequence
+from naisargik import (
+    CorrectionReport,
+    binary_vt_residue,
+    moment,
+    qary_vt_residues,
+    weight_sequence,
+)
 from naisargik import verify as verify_mod
 
 
@@ -35,6 +41,45 @@ def least_colliding_pair(words, s):
         if shared:
             return x, y, shared
     return None
+
+
+def oracle_report(code, s):
+    """The report the brute-force oracle implies: its least pair and the
+    smallest member the pair's spheres share."""
+    found = least_colliding_pair(code, s)
+    if found is None:
+        return CorrectionReport(ok=True)
+    x, y, shared = found
+    return CorrectionReport(ok=False, witness=(x, y, min(shared)))
+
+
+def insertion_supersequences(z, t, q):
+    """The distinct words of Z_q^(len(z) + t) that hold z as a subsequence,
+    built one inserted symbol at a time."""
+    level = {tuple(z)}
+    for _ in range(t):
+        level = {w[:i] + (c,) + w[i:] for w in level for i in range(len(w) + 1) for c in range(q)}
+    return level
+
+
+def insertion_failing_classes(key, length, t, q):
+    """Sphere-free route to the classes of Z_q^length, each word keyed by
+    ``key``, that do not correct t deletions.
+
+    Two words share a t-deletion sphere member z exactly when both are
+    t-insertion supersequences of z (Levenshtein, 1966), so a class fails
+    when two supersequences of one z in Z_q^(length - t) share its key.  No
+    class fails when t > length: every sphere is empty.
+    """
+    failing = set()
+    for z in itertools.product(range(q), repeat=length - t) if t <= length else ():
+        seen = set()
+        for word in insertion_supersequences(z, t, q):
+            k = key(word)
+            if k in seen:
+                failing.add(k)
+            seen.add(k)
+    return failing
 
 
 def first_meeting_pair(blob, n, s):
@@ -72,6 +117,12 @@ def lcs_length(x, y):
         for j, b in enumerate(y, 1):
             row[j] = prev[j - 1] + 1 if a == b else max(prev[j], row[j - 1])
     return row[-1]
+
+
+def helberg_residue(n, q, s):
+    """Per-word class key of H(n, q, s, .): a word's moment residue."""
+    w = weight_sequence(n, q, s)
+    return lambda x: moment(x, w) % w.modulus
 
 
 def helberg_classes_by_moment(n, q, s, smap=None):

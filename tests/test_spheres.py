@@ -19,7 +19,7 @@ from naisargik import spheres
 from conftest import (
     first_meeting_pair,
     lcs_length,
-    least_colliding_pair,
+    oracle_report,
     sphere_by_index_subsets,
     words_strategy,
 )
@@ -101,6 +101,18 @@ def test_sphere_rejects_symbols_beyond_a_byte():
     # Every word of a codebook is checked, not only the first.
     with pytest.raises(ValueError, match="not 300"):
         sphere_collisions([(0, 1, 2), (0, 300, 2)], 1)
+
+
+def test_pack_names_the_bad_symbol_of_an_iterator():
+    # The lane kernel packs an iterator; the message must not depend on
+    # reading the words twice.
+    with pytest.raises(ValueError, match="symbols in range\\(256\\), not 256"):
+        spheres._pack(iter([(0, 1), (2, 256)]))
+    with pytest.raises(ValueError, match="symbols in range\\(256\\), not -1"):
+        spheres._pack(w for w in [(0, 1), (-1, 2)])
+    assert spheres._pack(iter([(0, 1), (2, 255)])) == bytes([0, 1, 2, 255])
+    with pytest.raises(ValueError, match="symbols in range\\(256\\), not 256"):
+        spheres._first_meeting_pairs([[(0, 1), (1, 0)], [(2, 256), (256, 2)]], 2, 1)
 
 
 def test_oracle_equivalence_exhaustive_small():
@@ -341,9 +353,10 @@ _BOTH_SIDES = (
 @example(([[(255, 0, 255), (255, 255, 0)], [(7, 7, 7)]], 3, 1))
 def test_lane_kernel_meets_the_scalar_first_pair_of_each_class(chunk):
     classes, n, s = chunk
-    blobs = [bytes(itertools.chain.from_iterable(code)) for code in classes]
-    found = spheres._first_meeting_pairs(b"".join(blobs), [len(c) for c in classes], n, s)
-    assert found == [first_meeting_pair(blob, n, s) for blob in blobs]
+    found = spheres._first_meeting_pairs(classes, n, s)
+    assert found == [
+        first_meeting_pair(bytes(itertools.chain.from_iterable(code)), n, s) for code in classes
+    ]
 
 
 def test_lane_kernel_counts_lanes_of_32_bytes_and_more():
@@ -353,7 +366,7 @@ def test_lane_kernel_counts_lanes_of_32_bytes_and_more():
     base = [i % 3 for i in range(260)]
     words = [tuple(base), (1, 1, 1, *base[3:]), (2, *base[:-1])]
     blob = bytes(itertools.chain.from_iterable(words))
-    found = [spheres._first_meeting_pairs(blob, [3], 260, s)[0] for s in (0, 1, 2, 3, 259)]
+    found = [spheres._first_meeting_pairs([words], 260, s)[0] for s in (0, 1, 2, 3, 259)]
     assert found == [first_meeting_pair(blob, 260, s) for s in (0, 1, 2, 3, 259)]
     assert found == [None, (0, 2), (0, 1), (0, 1), (0, 1)]
 
@@ -414,23 +427,13 @@ class TestCorrectionCheck:
             CorrectionReport(ok=True, witness=((0,), (1,), ()))
 
 
-def oracle_report(code, s):
-    """The report the brute-force oracle implies: its least pair and the
-    smallest member the pair's spheres share."""
-    found = least_colliding_pair(code, s)
-    if found is None:
-        return CorrectionReport(ok=True)
-    x, y, shared = found
-    return CorrectionReport(ok=False, witness=(x, y, min(shared)))
-
-
 def hashed(code, s, monkeypatch):
     """Whether ``check_deletion_correcting`` decides ``code`` by hashing."""
     calls = []
-    real = spheres.sphere_collisions
+    real = spheres._shared_members
     with monkeypatch.context() as patch:
         patch.setattr(
-            spheres, "sphere_collisions", lambda *args: calls.append(args) or real(*args)
+            spheres, "_shared_members", lambda *args: calls.append(args) or real(*args)
         )
         check_deletion_correcting(code, s)
     return bool(calls)
@@ -521,7 +524,7 @@ def test_correction_iff_no_pair_has_a_long_common_subsequence(code_s):
 def test_both_routes_report_the_same_witness(code_s):
     code, s = code_s
     reports = []
-    real = spheres.sphere_collisions
+    real = spheres._shared_members
     # 0 sends every class of two or more words to hashing, and k * 8 keeps
     # it on pairs, since (k - 1) * n < k * 8 <= k * 8 * C(ceil(n/2) + s - 1, s).
     for per_member, hashes in ((0, True), (len(code) * 8, False)):
@@ -529,7 +532,7 @@ def test_both_routes_report_the_same_witness(code_s):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spheres, "_PAIRS_PER_MEMBER", per_member)
             patch.setattr(
-                spheres, "sphere_collisions", lambda *args: calls.append(args) or real(*args)
+                spheres, "_shared_members", lambda *args: calls.append(args) or real(*args)
             )
             reports.append(check_deletion_correcting(code, s))
         assert bool(calls) == hashes
@@ -584,14 +587,14 @@ def test_cap_bounds_each_kernel_call_and_hashes_a_class_beyond_it(monkeypatch):
     codes = [pair] * 3 + [steps] + [pair] * 2
     assert (5 - 1) * 6 <= spheres._PAIRS_PER_MEMBER * comb(3, 1)
     calls, hashed = [], []
-    kernel, collisions = spheres._first_meeting_pairs, spheres.sphere_collisions
+    kernel, members = spheres._first_meeting_pairs, spheres._shared_members
     monkeypatch.setattr(
         spheres,
         "_first_meeting_pairs",
-        lambda blob, sizes, n, s: calls.append(list(sizes)) or kernel(blob, sizes, n, s),
+        lambda codes, n, s: calls.append([len(c) for c in codes]) or kernel(codes, n, s),
     )
     monkeypatch.setattr(
-        spheres, "sphere_collisions", lambda *args: hashed.append(args[0]) or collisions(*args)
+        spheres, "_shared_members", lambda *args: hashed.append(args[0]) or members(*args)
     )
     assert check_codebooks(codes, 1, cap=20) == [oracle_report(code, 1) for code in codes]
     assert calls == [[2, 2, 2], [2, 2]]

@@ -18,7 +18,9 @@ from naisargik import (
     naisargik_map,
     parse_word,
     qary_vt_classes,
+    qary_vt_residues,
     reduction_analysis,
+    reduction_code,
     torsion_analysis,
     verify_helberg_self,
     verify_image_correction,
@@ -32,7 +34,7 @@ from naisargik import tables as tables_mod
 from naisargik import verify as verify_mod
 from naisargik.cli import CAMPAIGNS
 from naisargik.verify import _scan_campaign, effective_workers
-from conftest import direct_route
+from conftest import direct_route, helberg_residue, insertion_failing_classes, oracle_report
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
     HELBERG_4_4_1_40_IMAGES,
@@ -188,6 +190,30 @@ def test_reduction_analysis_singletons_pass():
     for cell in result.cells:
         if cell.detail["reduced"] <= 1:
             assert cell.passed
+
+
+def test_hashed_reduction_cells_carry_the_brute_force_witness(monkeypatch):
+    # At (8, 1), 48 reduced classes of 22 to 26 binary words lie past the
+    # route crossover, so their witnesses come from the hashing route; all
+    # 48 fail.
+    hashed = []
+    real = spheres._shared_members
+    monkeypatch.setattr(
+        spheres, "_shared_members", lambda code, *args: hashed.append(code) or real(code, *args)
+    )
+    cells = {c.label: c for c in reduction_analysis(8, 1).cells}
+    assert len(hashed) == 48
+    hashed_codes = set(map(tuple, hashed))
+    checked = 0
+    for a, ws in helberg_classes(8, 4, 1)[1].items():
+        code = sorted(reduction_code(frozenset(ws)))
+        if tuple(code) in hashed_codes:
+            x, y, shared = oracle_report(code, 1).witness
+            witness = {"x": format_word(x), "y": format_word(y), "shared": format_word(shared)}
+            assert not cells[f"a={a}"].passed
+            assert cells[f"a={a}"].detail["witness"] == witness
+            checked += 1
+    assert checked == 48
 
 
 def test_torsion_analysis_grid():
@@ -451,7 +477,7 @@ def _count_kernel_classes(monkeypatch):
     monkeypatch.setattr(
         spheres,
         "_first_meeting_pairs",
-        lambda blob, sizes, n, s: calls.append((list(sizes), n)) or kernel(blob, sizes, n, s),
+        lambda codes, n, s: calls.append(([len(c) for c in codes], n)) or kernel(codes, n, s),
     )
     return calls
 
@@ -525,3 +551,72 @@ def test_orbit_campaigns_match_across_workers(monkeypatch, campaign, pools):
     )
     assert campaign(2).to_dict() == campaign(1).to_dict()
     assert started == pools
+
+
+# A sphere-free second route for the correction campaigns: the classes that
+# fail by t-insertion supersequences (``conftest.insertion_failing_classes``)
+# are exactly the failing cells.  Images and preimages tile their word spaces,
+# so every checked word has a class.
+
+PHI8 = naisargik_map("phi8")
+
+
+def _checked_words(key, params, smap):
+    """The class key, length, deletion count and alphabet of the words a
+    correction campaign checks."""
+    n, s, q = params["n"], params.get("s", 1), params.get("q", 2 if key == "vt1" else 4)
+    if key == "thm1":
+        residue = helberg_residue(n, 4, s)
+        return (lambda bits: residue(smap.invert(bits))), 2 * n, s + 1, 2
+    if key == "thm2":
+        residue = helberg_residue(n, 2, s)
+        return (lambda x: residue(smap.apply(x))), n // 2, s // 2, 4
+    if key == "helberg-self":
+        return helberg_residue(n, q, s), n, s, q
+    # The binary VT code is H(n, 2, 1); a q-ary class is keyed by its residue pair.
+    return (helberg_residue(n, 2, 1) if q == 2 else lambda x: qary_vt_residues(x, q)), n, 1, q
+
+
+_FAST_GRID = _run_campaigns.grid(True)
+INSERTION_POINTS = [
+    *((key, params, PHI9) for key, params in _FAST_GRID if key in ("thm1", "thm2")),
+    *(("thm1", params, smap) for smap in (PHI8, PERM7) for key, params in _FAST_GRID if key == "thm1"),
+    ("thm1", {"n": 5, "s": 1}, PHI8),
+    ("thm1", {"n": 5, "s": 2}, PERM7),
+    ("thm2", {"n": 10, "s": 2}, PHI8),
+    ("thm2", {"n": 12, "s": 3}, PHI9),
+    ("helberg-self", {"n": 6, "q": 4, "s": 2}, None),
+    ("helberg-self", {"n": 5, "q": 3, "s": 2}, None),
+    ("helberg-self", {"n": 10, "q": 2, "s": 2}, None),
+    ("helberg-self", {"n": 8, "q": 2, "s": 3}, None),
+    *(("vt1", {"n": n, "q": q}, None) for n, q in ((1, 3), (6, 3), (4, 5), (6, 4), (9, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "key, params, smap",
+    INSERTION_POINTS,
+    ids=[
+        " ".join([key, *(f"{k}={v}" for k, v in params.items()), *([smap.name] if smap else [])])
+        for key, params, smap in INSERTION_POINTS
+    ],
+)
+def test_failing_cells_equal_the_insertion_route(key, params, smap):
+    if key in ("thm1", "thm2"):
+        campaign = verify_image_correction if key == "thm1" else verify_inverse_correction
+        result = campaign(params["n"], params["s"], smap)
+    else:
+        result = CAMPAIGNS[key](**params, limit=DEFAULT_MAX_ENUM, workers=1)
+    failing = insertion_failing_classes(*_checked_words(key, params, smap))
+    labels = {f"a={k[0]},b={k[1]}" if isinstance(k, tuple) else f"a={k}" for k in failing}
+    assert labels == {c.label for c in result.cells if not c.passed}
+
+
+def test_insertion_route_finds_failing_classes():
+    # The route is not vacuous: phi8 and perm-7 images fail Theorem 1 here.
+    for params, smap, count in [
+        ({"n": 4, "s": 1}, PHI8, 77),
+        ({"n": 5, "s": 1}, PHI8, 272),
+        ({"n": 5, "s": 2}, PERM7, 120),
+    ]:
+        assert len(insertion_failing_classes(*_checked_words("thm1", params, smap))) == count
