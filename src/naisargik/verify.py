@@ -12,13 +12,14 @@ identical for every worker count.
 
 Deletion commutes with every symbol permutation and with reversal
 (Levenshtein 1966), so two cells whose inputs such a symmetry carries onto
-each other share their verdict and their counts.  ``_ORBITS`` holds, by
-campaign, the symmetries known to carry a class onto a class (thm1 with a
-map that turns x -> 3 - x into bit complement, thm2, helberg-self, vt1) or
-one conj1 map onto another.  Those campaigns send only the first cell of each
-orbit to ``_run_cells`` and mirror a passing verdict onto the rest; the
-cells of an orbit whose first cell fails, and a class that is its own
-partner, are decided directly.
+each other share their verdict and their counts.  A campaign that knows such
+a symmetry builds its orbit where it builds its classes: the complement
+``_complement`` (thm1 with a map that turns x -> 3 - x into bit complement,
+thm2, helberg-self, binary vt1), reversal with complement
+``_reverse_complement`` (q-ary vt1), or ``_map_orbit`` for conj1's maps.
+Those campaigns send only the first cell of each orbit to ``_run_cells`` and
+mirror a passing verdict onto the rest; the cells of an orbit whose first
+cell fails, and a class that is its own partner, are decided directly.
 Other campaigns, and thm1 under any other map (phi8, phi3), decide every
 cell.
 """
@@ -200,14 +201,14 @@ def _run_orbits(
     ]
 
 
-def _complement(n: int, q: int, s: int, top: int) -> Callable[[int], int]:
-    """Orbit of Helberg class a under x -> top - x, symbol by symbol.
+def _complement(n: int, q: int, s: int) -> Callable[[int], int]:
+    """Orbit of class a of H(n, q, s, .) under x -> q - 1 - x, symbol by symbol.
 
-    With weights v_1..v_n that sends class a to (top * (v_1 + ... + v_n) - a)
-    mod m; the orbit is the smaller of the two residues.
+    With weights v_1..v_n that sends class a to ((q - 1) * (v_1 + ... + v_n)
+    - a) mod m; the orbit is the smaller of the two residues.
     """
     w = weight_sequence(n, q, s)
-    total, m = top * sum(w.values[:-1]), w.modulus
+    total, m = (q - 1) * sum(w.values[:-1]), w.modulus
     return lambda a: min(a, (total - a) % m)
 
 
@@ -242,25 +243,6 @@ def _map_orbit(smap: SymbolMap) -> tuple:
     )
 
 
-#: The orbit of each cell key, by campaign: an entry takes the campaign's
-#: parameters and returns a function from cell key (class residue, or map for
-#: conj1) to orbit, or None where no symmetry is known.  Each class symmetry
-#: is a symbol permutation of the words, with reversal for the q-ary VT one.
-_ORBITS: dict[str, Callable[..., Callable[[Hashable], Hashable] | None]] = {
-    "helberg-self": lambda n, q, s: _complement(n, q, s, q - 1),
-    "vt-correction": lambda n, q: _complement(n, 2, 1, 1) if q == 2 else _reverse_complement(n, q),
-    # Bit complement of the binary words; on the preimages it is the symbol
-    # permutation smap^-1 o c o smap, for every map.
-    "inverse-correction": lambda n, s: _complement(n, 2, s, 1),
-    # x -> 3 - x on the quaternary words complements every image bit, for
-    # maps that commute with it.
-    "image-correction": lambda n, s, smap: (
-        _complement(n, 4, s, 3) if _complement_commutes(smap) else None
-    ),
-    "equal-weight": lambda: _map_orbit,
-}
-
-
 def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> CampaignResult:
     """Equal-weight scans, one cell per map, each cell building its own image classes.
 
@@ -268,8 +250,7 @@ def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> 
     is guarded here first, so a refused n starts no worker.
     """
     guard_vt_space(n, 4, limit)
-    orbit = _ORBITS["equal-weight"]()
-    items = [(orbit(naisargik_map(name)), name, (n, name, limit)) for name in names]
+    items = [(_map_orbit(naisargik_map(name)), name, (n, name, limit)) for name in names]
     cells = _run_orbits(items, _equal_weight_batch, workers)
     return CampaignResult(
         campaign="equal-weight",
@@ -293,8 +274,9 @@ def _correction_cells(
     as its residues minus its cells.  The batch sees each class as built: a
     campaign over mapped words builds its classes through the map
     (``helberg_classes(..., smap)``), so no codeword is mapped here.  A class
-    keyed by a residue pair is labelled ``a=..,b=..``.  With ``orbit`` (built
-    by an entry of ``_ORBITS``) a passing class decides the rest of its
+    keyed by a residue pair is labelled ``a=..,b=..``.  With ``orbit``, a
+    function from class key to the key of its symmetry orbit (``_complement``
+    or ``_reverse_complement``), a passing class decides the rest of its
     orbit; see ``_run_orbits``.
     """
     items = []
@@ -332,7 +314,9 @@ def verify_image_correction(
     """
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n, 4, s, limit, smap)
-    orbit = _ORBITS["image-correction"](n, s, smap)
+    # x -> 3 - x on the quaternary words complements every image bit, for
+    # maps that commute with it.
+    orbit = _complement(n, 4, s) if _complement_commutes(smap) else None
     cells = _correction_cells(classes, _correction_batch, s + 1, workers, orbit=orbit)
     return CampaignResult(
         campaign="image-correction",
@@ -355,7 +339,9 @@ def verify_inverse_correction(
     """
     smap = smap or naisargik_map("phi9")
     m, classes = helberg_classes(n_bits, 2, s, limit, smap)
-    orbit = _ORBITS["inverse-correction"](n_bits, s)
+    # Bit complement of the binary words; on the preimages it is the symbol
+    # permutation smap^-1 o c o smap, for every map.
+    orbit = _complement(n_bits, 2, s)
     cells = _correction_cells(classes, _correction_batch, s // 2, workers, orbit=orbit)
     return CampaignResult(
         campaign="inverse-correction",
@@ -497,7 +483,7 @@ def verify_vt_correction(
     # The binary VT code is the Helberg code with q = 2 and s = 1: its weights
     # are 1..n and its modulus is n + 1.
     classes = helberg_classes(n, 2, 1, limit)[1] if q == 2 else qary_vt_classes(n, q, limit)
-    orbit = _ORBITS["vt-correction"](n, q)
+    orbit = _complement(n, 2, 1) if q == 2 else _reverse_complement(n, q)
     cells = _correction_cells(classes, _correction_batch, 1, workers, min_size=1, orbit=orbit)
     return CampaignResult(
         campaign="vt-correction",
@@ -512,8 +498,7 @@ def verify_helberg_self(
 ) -> CampaignResult:
     """Every Helberg codebook corrects its own deletion budget s."""
     m, classes = helberg_classes(n, q, s, limit)
-    orbit = _ORBITS["helberg-self"](n, q, s)
-    cells = _correction_cells(classes, _correction_batch, s, workers, orbit=orbit)
+    cells = _correction_cells(classes, _correction_batch, s, workers, orbit=_complement(n, q, s))
     return CampaignResult(
         campaign="helberg-self",
         params={"n": n, "q": q, "s": s},

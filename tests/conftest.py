@@ -82,6 +82,24 @@ def insertion_failing_classes(key, length, t, q):
     return failing
 
 
+def conj1_fails_by_insertions(smap, n):
+    """Sphere-free route to a Conjecture 1 failure of ``smap`` at length n.
+
+    Two images of Z_4^n share a 1-deletion member z exactly when both are
+    1-insertion supersequences of z, so their weights differ by at most one,
+    and they differ exactly when one inserts a 0 and the other a 1.  The map
+    fails when some z in Z_2^(2n - 1) has a 0-insertion and a 1-insertion
+    whose preimages share a q-ary VT class key.
+    """
+
+    def keys(z, bit):
+        return {
+            qary_vt_residues(smap.invert(z[:i] + (bit,) + z[i:]), 4) for i in range(len(z) + 1)
+        }
+
+    return any(keys(z, 0) & keys(z, 1) for z in all_words(2 * n - 1, 2))
+
+
 def first_meeting_pair(blob, n, s):
     """Scalar oracle for ``spheres._first_meeting_pairs`` on one class: the
     indices of the first pair of the n-symbol words laid end to end in

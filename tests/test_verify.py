@@ -3,6 +3,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from naisargik import (
     DEFAULT_MAX_ENUM,
     VT_MAP_NAMES,
     all_bijections,
+    equal_weight_scan,
     format_word,
     helberg_classes,
     helberg_code,
@@ -34,7 +36,13 @@ from naisargik import tables as tables_mod
 from naisargik import verify as verify_mod
 from naisargik.cli import CAMPAIGNS
 from naisargik.verify import _scan_campaign, effective_workers
-from conftest import direct_route, helberg_residue, insertion_failing_classes, oracle_report
+from conftest import (
+    conj1_fails_by_insertions,
+    direct_route,
+    helberg_residue,
+    insertion_failing_classes,
+    oracle_report,
+)
 from golden import (
     HELBERG_4_4_1_13_IMAGES,
     HELBERG_4_4_1_40_IMAGES,
@@ -305,8 +313,9 @@ def test_effective_workers_clamp(requested, cells, cpus, expected):
 
 
 # One class, or one conj1 map, is decided per symmetry orbit.  The tests below
-# check each orbit of ``verify._ORBITS`` word for word, and every campaign
-# that uses them against the direct route of ``conftest.direct_route``.
+# check each orbit rule of ``verify`` (``_complement``, ``_reverse_complement``,
+# ``_map_orbit``) word for word, which campaigns pair their cells by them, and
+# every such campaign against the direct route of ``conftest.direct_route``.
 
 PERM7 = next(m for m in all_bijections() if m.name == "perm-7")
 
@@ -330,19 +339,19 @@ def _assert_classes_pair(classes, orbit, transform):
 @pytest.mark.parametrize("n, q, s", [(6, 2, 2), (9, 2, 3), (4, 3, 1), (4, 4, 2), (3, 5, 1)])
 def test_helberg_classes_pair_by_complement(n, q, s):
     _, classes = helberg_classes(n, q, s)
-    orbit = verify_mod._ORBITS["helberg-self"](n, q, s)
+    orbit = verify_mod._complement(n, q, s)
     _assert_classes_pair(classes, orbit, lambda w: tuple(q - 1 - x for x in w))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_binary_vt_classes_pair_by_complement(n):
     _, classes = helberg_classes(n, 2, 1)
-    _assert_classes_pair(classes, verify_mod._ORBITS["vt-correction"](n, 2), _complement)
+    _assert_classes_pair(classes, verify_mod._complement(n, 2, 1), _complement)
 
 
 @pytest.mark.parametrize("n, q", [(1, 3), (2, 4), (5, 3), (4, 4), (3, 5)])
 def test_qary_vt_classes_pair_by_reversed_complement(n, q):
-    orbit = verify_mod._ORBITS["vt-correction"](n, q)
+    orbit = verify_mod._reverse_complement(n, q)
     reverse_complement = lambda w: tuple(q - 1 - x for x in reversed(w))  # noqa: E731
     _assert_classes_pair(qary_vt_classes(n, q), orbit, reverse_complement)
 
@@ -351,7 +360,7 @@ def test_qary_vt_classes_pair_by_reversed_complement(n, q):
 def test_inverse_classes_pair_by_bit_complement_under_every_map(smap):
     for n_bits, s in [(6, 2), (8, 3)]:
         _, classes = helberg_classes(n_bits, 2, s, smap=smap)
-        orbit = verify_mod._ORBITS["inverse-correction"](n_bits, s)
+        orbit = verify_mod._complement(n_bits, 2, s)
         _assert_classes_pair(classes, orbit, lambda w: smap.invert(_complement(smap.apply(w))))
 
 
@@ -365,17 +374,17 @@ THM1_PAIRED_MAPS = {
 @pytest.mark.parametrize("smap", all_bijections(), ids=lambda m: m.name)
 def test_image_classes_pair_by_complement_only_under_maps_that_commute_with_it(smap):
     for n, s in [(3, 1), (4, 2)]:
-        orbit = verify_mod._ORBITS["image-correction"](n, s, smap)
-        assert (orbit is not None) == (smap.name in THM1_PAIRED_MAPS)
-        if orbit is not None:
+        commutes = verify_mod._complement_commutes(smap)
+        assert commutes == (smap.name in THM1_PAIRED_MAPS)
+        if commutes:
+            orbit = verify_mod._complement(n, 4, s)
             _assert_classes_pair(helberg_classes(n, 4, s, smap=smap)[1], orbit, _complement)
 
 
 def test_conj1_maps_fall_into_two_orbits_of_the_named_maps():
-    orbit = verify_mod._ORBITS["equal-weight"]()
     groups = {}
     for smap in all_bijections():
-        groups.setdefault(orbit(smap), set()).add(smap.name)
+        groups.setdefault(verify_mod._map_orbit(smap), set()).add(smap.name)
     assert sorted(map(len, groups.values())) == [4] * 6
     named = {frozenset(g & set(VT_MAP_NAMES)) for g in groups.values()} - {frozenset()}
     assert named == {
@@ -398,10 +407,9 @@ def test_conj1_maps_of_one_orbit_have_alike_image_classes(n):
     def classes(smap):
         return {frozenset(ws) for ws in qary_vt_classes(n, 4, smap=smap).values()}
 
-    orbit = verify_mod._ORBITS["equal-weight"]()
     groups = {}
     for smap in all_bijections():
-        groups.setdefault(orbit(smap), []).append(smap)
+        groups.setdefault(verify_mod._map_orbit(smap), []).append(smap)
     for first, *rest in groups.values():
         base = classes(first)
         for smap in rest:
@@ -409,6 +417,37 @@ def test_conj1_maps_of_one_orbit_have_alike_image_classes(n):
             assert any(
                 mapped == {frozenset(map(t, c)) for c in base} for t in transforms
             ), (first.name, smap.name)
+
+
+def _weight_parity_map(smap):
+    """(wt(smap(x)) - x) mod 2 is one value for every symbol x."""
+    return len({(sum(bits) - x) % 2 for x, bits in enumerate(smap.table)}) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_equal_weight_holds_exactly_under_the_parity_maps(n):
+    # Under a parity map every image in a VT class has one weight parity, and
+    # two images sharing a 1-deletion member differ in weight by at most one.
+    parity = {m.name for m in all_bijections() if _weight_parity_map(m)}
+    assert parity == set(VT_MAP_NAMES)
+    passing = {m.name for m in all_bijections() if equal_weight_scan(n, m)[1] is None}
+    assert passing == parity
+    assert len(all_bijections()) - len(passing) == 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_conj1_insertion_route_agrees_with_the_scan_under_every_map(n):
+    for smap in all_bijections():
+        fails = equal_weight_scan(n, smap)[1] is not None
+        assert conj1_fails_by_insertions(smap, n) == fails, smap.name
+
+
+def test_conj1_cells_agree_with_the_insertion_route():
+    result = CAMPAIGNS["conj1"](n=5, maps="phi1..phi9", limit=DEFAULT_MAX_ENUM, workers=1)
+    assert [c.label for c in result.cells] == [f"phi{i}" for i in range(1, 10)]
+    assert [c.label for c in result.cells if not c.passed] == ["phi9"]
+    for cell in result.cells:
+        assert cell.passed != conj1_fails_by_insertions(naisargik_map(cell.label), 5), cell.label
 
 
 _spec = importlib.util.spec_from_file_location(
@@ -462,7 +501,7 @@ def test_mirrored_cells_equal_the_direct_route(key, params):
 def test_failing_orbits_report_the_direct_witnesses():
     # perm-7 commutes with x -> 3 - x, so its thm1 classes are paired, and 120
     # of its 140 cells at (5, 2) fail: each must carry its own least witness.
-    assert verify_mod._ORBITS["image-correction"](5, 2, PERM7) is not None
+    assert verify_mod._complement_commutes(PERM7)
     mirrored = verify_image_correction(5, 2, PERM7)
     assert len(mirrored.cells) == 140
     assert sum(not c.passed for c in mirrored.cells) == 120
@@ -489,7 +528,7 @@ def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
     result = verify_helberg_self(10, 2, 2)
     assert result.passed
     _, classes = helberg_classes(10, 2, 2)
-    orbit = verify_mod._ORBITS["helberg-self"](10, 2, 2)
+    orbit = verify_mod._complement(10, 2, 2)
     orbits = {orbit(a) for a, ws in classes.items() if len(ws) >= 2}
     assert len(calls) == 1
     assert len(calls[0][0]) == len(orbits) < len(result.cells)
@@ -503,6 +542,53 @@ def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
     )
     assert len(_scan_campaign(4, VT_MAP_NAMES, DEFAULT_MAX_ENUM, 1).cells) == 8
     assert scans == ["phi1", "phi3"]
+
+
+#: Campaigns by whether they pair cells by a symmetry: (id, campaign, paired).
+ORBIT_PAIRING = [
+    *(
+        (f"thm1 {m.name}", partial(verify_image_correction, 4, 1, m), m.name in THM1_PAIRED_MAPS)
+        for m in all_bijections()
+    ),
+    *(
+        (
+            " ".join([key, *(f"{k}={v}" for k, v in params.items())]),
+            partial(CAMPAIGNS[key], **params),
+            paired,
+        )
+        for key, params, paired in [
+            ("thm2", {"n": 8, "s": 2}, True),
+            ("thm2", {"n": 8, "s": 3, "map": "phi8"}, True),
+            ("vt1", {"n": 8}, True),
+            ("vt1", {"n": 5, "q": 3}, True),
+            ("vt1", {"n": 4, "q": 4}, True),
+            ("helberg-self", {"n": 8, "q": 2, "s": 2}, True),
+            ("helberg-self", {"n": 4, "q": 4, "s": 1}, True),
+            ("conj1", {"n": 3}, True),
+            ("reduction", {"n": 4, "s": 1}, False),
+            ("torsion", {"n": 4, "s": 1}, False),
+            ("conj2", {"n": 4}, False),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "campaign, paired", [p[1:] for p in ORBIT_PAIRING], ids=[p[0] for p in ORBIT_PAIRING]
+)
+def test_paired_campaigns_hand_the_runner_fewer_orbits_than_cells(monkeypatch, campaign, paired):
+    # A cell that does not pass through ``_run_orbits`` is its own orbit.
+    handed = []
+    run_orbits = verify_mod._run_orbits
+    monkeypatch.setattr(
+        verify_mod,
+        "_run_orbits",
+        lambda items, fn, workers: handed.append(items) or run_orbits(items, fn, workers),
+    )
+    cells = len(campaign(limit=DEFAULT_MAX_ENUM, workers=1).cells)
+    routed = sum(map(len, handed))
+    orbits = sum(len({orbit for orbit, _, _ in items}) for items in handed) + cells - routed
+    assert 0 < orbits < cells if paired else 0 < orbits == cells
 
 
 @pytest.mark.parametrize(
