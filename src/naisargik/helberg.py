@@ -12,13 +12,13 @@ unbounded, so the weight recursion cannot silently wrap at any desk scale.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from itertools import chain, compress, cycle, islice, repeat
 from math import factorial
-from operator import add
-from typing import Iterator
+from operator import add, is_not
+from typing import Iterator, Sequence
 
 from .maps import SymbolMap
 from .words import (
@@ -111,6 +111,18 @@ def moment(word: Word, weights: WeightSequence) -> int:
     return sum(v * x for v, x in zip(weights.values, word))
 
 
+def _prefix_sums(sums: list[int], rows: list[list[list[int]]]) -> list[int]:
+    """``sums`` extended by one letter per position of ``rows``, in lexicographic order.
+
+    After sum j, letter y at position p adds rows[p][j % len(rows[p])][y];
+    sum j ends in letter j % q, so a position with q rows is read by the
+    letter before it, and one with a single row by none.
+    """
+    for row in rows:
+        sums = [t + d for t, after in zip(sums, cycle(row)) for d in after]
+    return sums
+
+
 def _residue_stream(rows: list[list[list[int]]], m: int) -> Iterator[int]:
     """(sum over p of rows[p][x_(p-1)][x_p]) mod m for every word x, in lexicographic order.
 
@@ -122,24 +134,45 @@ def _residue_stream(rows: list[list[list[int]]], m: int) -> Iterator[int]:
     (head + tail) % m, so O(q^ceil(n/2)) sums are held at once with one row
     per position, O(q^(ceil(n/2) + 1)) with q (VT), never q^n.
     """
-
-    def prefix_sums(sums: list[int], rows: list[list[list[int]]]) -> list[int]:
-        for row in rows:
-            sums = [t + d for t, after in zip(sums, cycle(row)) for d in after]
-        return sums
-
     cut = len(rows) // 2
-    tails = [[t % m for t in prefix_sums(first, rows[cut + 1 :])] for first in rows[cut]]
+    tails = [[t % m for t in _prefix_sums(first, rows[cut + 1 :])] for first in rows[cut]]
     return chain.from_iterable(
         [(h + t) % m for t in tail]
-        for h, tail in zip(prefix_sums([0], rows[:cut]), cycle(tails))
+        for h, tail in zip(_prefix_sums([0], rows[:cut]), cycle(tails))
     )
 
 
-def _helberg_stream(
-    n: int, q: int, s: int, limit: int, smap: SymbolMap | None = None
-) -> tuple[int, Iterator[tuple[Word, int]]]:
-    """The modulus m, and every word of Z_q^n with its moment residue.
+def _guard_space(n: int, q: int, s: int, limit: int, smap: SymbolMap | None = None) -> None:
+    """Refuse a map that cannot pair Z_q^n with bits, then what ``guard_word_space`` refuses."""
+    if smap is not None:
+        if q not in (2, 4):
+            raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
+        if q == 2 and n % 2:
+            raise ValueError("binary length must be even to invert the map")
+    guard_word_space(n, q, s, limit)
+
+
+#: A range costs each head of ``_helberg_walk`` two bisects and a few slices,
+#: about what this many of its tails cost to go over one by one (9 to 12,
+#: timed on 2 vCPUs, Python 3.11); with fewer tails per range than this, each
+#: head goes over all of its tails instead.
+_TAILS_PER_RANGE = 10
+
+
+def _helberg_walk(
+    n: int,
+    q: int,
+    s: int,
+    limit: int,
+    smap: SymbolMap | None = None,
+    ranges: Sequence[range] | None = None,
+) -> tuple[int, dict[int, list[Word]]]:
+    """The modulus m, and the classes of H(n, q, s, .) whose residues lie in ``ranges``.
+
+    ``ranges`` are disjoint ranges of at most m consecutive residues, each
+    member taken mod m, so range(m - 1, m + 1) is m - 1 and 0; None is all of
+    Z_m.  The classes come out range by range, in range order within each,
+    empty ones left out, each class's words in lexicographic order.
 
     Symbol x at position i adds x * v_i.  With ``smap`` the words are those
     the map pairs with Z_q^n:
@@ -147,37 +180,80 @@ def _helberg_stream(
       i adds smap.inverse[pair] * v_i;
     - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
       position i adds b1 * v_(2i-1) + b2 * v_(2i) for (b1, b2) = smap(x).
+
+    The positions split into a head and a tail (Horowitz and Sahni, 1974),
+    whose sums are expanded separately, as ``_residue_stream`` does; the
+    tails are sorted by (residue, word).  Head h with tail t lies in class
+    (h + t) mod m, so the tails that put head h in a range of L residues
+    from r are the L residues from (r - h) mod m on, found by two bisects
+    (in two slices when they wrap past m - 1).  Heads go in lexicographic
+    order, and the tails of one residue too, so no class is sorted
+    afterwards, and no word outside ``ranges`` is built.
     """
-    if smap is not None:
-        if q not in (2, 4):
-            raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
-        if q == 2 and n % 2:
-            raise ValueError("binary length must be even to invert the map")
-    guard_word_space(n, q, s, limit)
+    _guard_space(n, q, s, limit, smap)
     w = weight_sequence(n, q, s)
-    v = w.values[:-1]
+    m, v = w.modulus, w.values[:-1]
     if smap is None:
         steps = [[x * vi for x in range(q)] for vi in v]
-        words = iter_words(n, q, limit)
+        alphabet, width = q, 1
     elif q == 4:
         steps = [[x * vi for x in smap.inverse] for vi in v]
-        words = iter_words(2 * n, 2, limit)
+        alphabet, width = 2, 2
     else:
         steps = [
             [b1 * v1 + b2 * v2 for b1, b2 in smap.table] for v1, v2 in zip(v[::2], v[1::2])
         ]
-        words = iter_words(n // 2, 4, limit)
+        alphabet, width = 4, 1
     rows = [[step] for step in steps]
-    return w.modulus, zip(words, _residue_stream(rows, w.modulus))
+    cut = len(rows) // 2
+    sums = [t % m for t in _prefix_sums([0], rows[cut:])]
+    order = sorted(range(len(sums)), key=sums.__getitem__)
+    residues = [sums[i] for i in order]
+    words = list(iter_words(width * (len(rows) - cut), alphabet, limit))
+    tails = [words[i] for i in order]
+    heads = [
+        (h % m, head)
+        for h, head in zip(_prefix_sums([0], rows[:cut]), iter_words(width * cut, alphabet, limit))
+    ]
+    ranges = [range(m)] if ranges is None else list(ranges)
+    buckets: list[list[list[Word]]] = [[[] for _ in span] for span in ranges]
+    if _TAILS_PER_RANGE * len(ranges) <= len(tails):
+        for h, head in heads:
+            for span, into in zip(ranges, buckets):
+                lo = (span.start - h) % m
+                hi = lo + len(span)
+                i = bisect_left(residues, lo)
+                if hi <= m:
+                    cuts = [(i, bisect_left(residues, hi), -lo)]
+                else:
+                    cuts = [(i, len(tails), -lo), (0, bisect_left(residues, hi - m), m - lo)]
+                for i, j, shift in cuts:
+                    found = map(into.__getitem__, map(shift.__add__, residues[i:j]))
+                    for bucket, word in zip(found, map(head.__add__, tails[i:j])):
+                        bucket.append(word)
+    else:
+        # Each head goes over all its tails, in two slices split where h + t
+        # passes m, and skips those that put it in no class of ``ranges``.
+        slot: list[list[Word] | None] = [None] * m
+        for span, into in zip(ranges, buckets):
+            for a, bucket in zip(span, into):
+                slot[a % m] = bucket
+        for h, head in heads:
+            split = bisect_left(residues, m - h)
+            for i, j, shift in ((0, split, h), (split, len(tails), h - m)):
+                found = list(map(slot.__getitem__, map(shift.__add__, residues[i:j])))
+                kept = map(is_not, found, repeat(None))
+                for bucket, tail in compress(zip(found, tails[i:j]), kept):
+                    bucket.append(head + tail)
+    return m, {a % m: ws for span, into in zip(ranges, buckets) for a, ws in zip(span, into) if ws}
 
 
 def helberg_code(
     n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
-    """All length-n words whose moment is congruent to a mod m, read from ``_helberg_stream``."""
+    """All length-n words whose moment is congruent to a mod m: ``_helberg_walk`` on a alone."""
     guard_word_space(n, q, s, limit, a)
-    _, stream = _helberg_stream(n, q, s, limit)
-    return frozenset(x for x, r in stream if r == a)
+    return frozenset(_helberg_walk(n, q, s, limit, ranges=[range(a, a + 1)])[1].get(a, ()))
 
 
 def helberg_classes(
@@ -187,18 +263,15 @@ def helberg_classes(
     limit: int = DEFAULT_MAX_ENUM,
     smap: SymbolMap | None = None,
 ) -> tuple[int, dict[int, tuple[Word, ...]]]:
-    """One exhaustive scan of Z_q^n bucketed by moment residue.
+    """Z_q^n by moment residue: ``_helberg_walk`` over all of Z_m.
 
     Returns (m, classes); residues with no codeword are absent from the
-    mapping.  Words are sorted within each class.  The residues come from
-    ``_helberg_stream``, so no word's moment is evaluated on its own; with
-    ``smap`` each class holds the words the map pairs with H(n, q, s, a).
+    mapping.  Words are sorted within each class, and no word's moment is
+    evaluated on its own; with ``smap`` each class holds the words the map
+    pairs with H(n, q, s, a).
     """
-    m, stream = _helberg_stream(n, q, s, limit, smap)
-    buckets: defaultdict[int, list[Word]] = defaultdict(list)
-    for x, a in stream:
-        buckets[a].append(x)
-    return m, {a: tuple(buckets[a]) for a in sorted(buckets)}
+    m, classes = _helberg_walk(n, q, s, limit, smap)
+    return m, {a: tuple(ws) for a, ws in classes.items()}
 
 
 def helberg_census(n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM) -> list[int]:

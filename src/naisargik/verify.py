@@ -3,12 +3,14 @@
 Each campaign sweeps a parameter grid (usually the residues of one codebook
 family), runs one cell per grid point (mostly an exhaustive sphere check),
 and aggregates verdicts into a CampaignResult that serializes to JSON.  The
-class campaigns share one runner, ``_correction_cells``.  A cell function
-takes a list of inputs and returns their cells, so one call decides a whole
-campaign (one ``check_codebooks`` call for its sphere checks); the cells are
-independent, so the runner may instead fan chunks of residues out across
-worker processes and join their cells in residue order, making output
-identical for every worker count.
+Helberg class campaigns (thm1, thm2, helberg-self, binary vt1, reduction,
+torsion) share one builder, ``_helberg_cells``, and every class campaign one
+runner, ``_run_orbits``.  A cell function takes a list of inputs and returns
+their cells, so one call decides a whole round of a campaign (one
+``check_codebooks`` call for its sphere checks); the cells are independent,
+so the runner may instead fan chunks of them out across one pool of worker
+processes and join their cells in residue order, making output identical
+for every worker count.
 
 Deletion commutes with every symbol permutation and with reversal
 (Levenshtein 1966), so two cells whose inputs such a symmetry carries onto
@@ -17,21 +19,26 @@ a symmetry builds its orbit where it builds its classes: the complement
 ``_complement`` (thm1 with a map that turns x -> 3 - x into bit complement,
 thm2, helberg-self, binary vt1), reversal with complement
 ``_reverse_complement`` (q-ary vt1), or ``_map_orbit`` for conj1's maps.
-Those campaigns send only the first cell of each orbit to ``_run_cells`` and
-mirror a passing verdict onto the rest; the cells of an orbit whose first
-cell fails, and a class that is its own partner, are decided directly.
-Other campaigns, and thm1 under any other map (phi8, phi3), decide every
-cell.
+Those campaigns decide only the first cell of each orbit and mirror a
+passing verdict onto the rest; the cells of an orbit whose first cell fails,
+and a class that is its own partner, are decided directly.  Under the
+complement a mirrored class is not even built unless its leader fails: its
+size is its leader's.  Other campaigns, and thm1 under any other map (phi8,
+phi3), decide every cell.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable, Sequence
 
 from .helberg import (
+    _guard_space,
+    _helberg_walk,
     coefficient,
     guard_word_space,
     helberg_census,
@@ -145,21 +152,19 @@ def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
 def _run_cells(
     inputs: Sequence[tuple],
     fn: Callable[[Sequence[tuple]], list[CampaignCell]],
-    workers: int = 1,
+    pool: ProcessPoolExecutor | None,
+    workers: int,
 ) -> list[CampaignCell]:
     """``fn`` on ``inputs``, which returns one cell per input in their order.
 
-    One worker takes every input in one call; more split them into chunks in
-    order, one call per chunk, and join the chunks' cells in that order."""
-    import os
-
-    workers = effective_workers(workers, len(inputs), os.cpu_count())
-    if workers <= 1:
+    Without a pool ``fn`` takes every input in one call; with one the inputs
+    go in chunks in order, one call per chunk, about four chunks per worker,
+    and the chunks' cells are joined in that order."""
+    if pool is None:
         return fn(inputs)
     size = max(1, len(inputs) // (4 * workers))
     chunks = [inputs[start : start + size] for start in range(0, len(inputs), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [cell for cells in pool.map(fn, chunks) for cell in cells]
+    return [cell for cells in pool.map(fn, chunks) for cell in cells]
 
 
 def _equal_weight_batch(inputs: Sequence[tuple]) -> list[CampaignCell]:
@@ -174,42 +179,48 @@ def _equal_weight_batch(inputs: Sequence[tuple]) -> list[CampaignCell]:
 
 
 def _run_orbits(
-    items: Sequence[tuple[Hashable, str, tuple]],
+    items: Sequence[tuple[Hashable, str, object]],
     fn: Callable[[Sequence[tuple]], list[CampaignCell]],
     workers: int,
+    fill: Callable[[list], list[tuple]] | None = None,
 ) -> list[CampaignCell]:
     """Cells of ``fn`` on (orbit, label, input) items, in their order, deciding one per orbit.
 
     Items of one orbit must share ``fn``'s verdict and counts.  The first
-    item of every orbit goes to ``_run_cells`` in one round; a later one
-    takes a passing first cell under its own label.  When the first cell
-    fails, the later ones are decided too, in a second round, so each failing
-    cell reports its own canonical witness.
+    item of every orbit is decided in one round; a later one takes a passing
+    first cell under its own label.  When the first cell fails, the later
+    ones are decided too, in a second round, so each failing cell reports its
+    own canonical witness.  With ``fill``, a later item's input is a stand-in
+    that ``fill`` turns into the real one, called once on the stand-ins of
+    the second round.  Both rounds share one pool of worker processes.
     """
     first: dict[Hashable, int] = {}
     heads = [first.setdefault(orbit, i) for i, (orbit, _, _) in enumerate(items)]
     cells: list[CampaignCell | None] = [None] * len(items)
     leaders = list(first.values())
-    for i, cell in zip(leaders, _run_cells([items[i][2] for i in leaders], fn, workers)):
-        cells[i] = cell
-    redo = [i for i, head in enumerate(heads) if head != i and not cells[head].passed]
-    for i, cell in zip(redo, _run_cells([items[i][2] for i in redo], fn, workers)):
-        cells[i] = cell
+    size = effective_workers(workers, len(leaders), os.cpu_count())
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
+        for i, cell in zip(leaders, _run_cells([items[i][2] for i in leaders], fn, pool, size)):
+            cells[i] = cell
+        redo = [i for i, head in enumerate(heads) if head != i and not cells[head].passed]
+        if redo:
+            inputs = [items[i][2] for i in redo]
+            for i, cell in zip(redo, _run_cells(fill(inputs) if fill else inputs, fn, pool, size)):
+                cells[i] = cell
     return [
         CampaignCell(label, cells[head].passed, cells[head].detail) if cell is None else cell
         for cell, head, (_, label, _) in zip(cells, heads, items)
     ]
 
 
-def _complement(n: int, q: int, s: int) -> Callable[[int], int]:
-    """Orbit of class a of H(n, q, s, .) under x -> q - 1 - x, symbol by symbol.
+def _complement(n: int, q: int, s: int) -> tuple[int, int]:
+    """m and c such that x -> q - 1 - x, symbol by symbol, sends class a of
+    H(n, q, s, .) to class (c - a) mod m.
 
-    With weights v_1..v_n that sends class a to ((q - 1) * (v_1 + ... + v_n)
-    - a) mod m; the orbit is the smaller of the two residues.
+    With weights v_1..v_n, c is (q - 1) * (v_1 + ... + v_n) mod m.
     """
     w = weight_sequence(n, q, s)
-    total, m = (q - 1) * sum(w.values[:-1]), w.modulus
-    return lambda a: min(a, (total - a) % m)
+    return w.modulus, (q - 1) * sum(w.values[:-1]) % w.modulus
 
 
 def _reverse_complement(n: int, q: int) -> Callable[[tuple[int, int]], tuple[int, int]]:
@@ -260,42 +271,73 @@ def _scan_campaign(n: int, names: tuple[str, ...], limit: int, workers: int) -> 
     )
 
 
-def _correction_cells(
-    classes: dict[int | tuple[int, int], tuple[Word, ...]],
+def _helberg_cells(
+    n: int,
+    q: int,
+    s: int,
+    smap: SymbolMap | None,
+    limit: int,
     batch: Callable[[int | None, Sequence[tuple]], list[CampaignCell]],
     check_s: int | None,
     workers: int,
     min_size: int = 2,
-    orbit: Callable[[Hashable], Hashable] | None = None,
-) -> tuple[CampaignCell, ...]:
-    """Cells of ``batch`` at ``check_s``, one per class of ``min_size`` or more words.
+    paired: bool = True,
+) -> tuple[int, list[int], tuple[CampaignCell, ...]]:
+    """m, the size of every class of H(n, q, s, .) by residue, and the cells of
+    ``batch`` at ``check_s``, one per class of ``min_size`` or more words, in
+    residue order.
 
     Smaller classes are trivial: they get no cell, so a campaign tallies them
-    as its residues minus its cells.  The batch sees each class as built: a
-    campaign over mapped words builds its classes through the map
-    (``helberg_classes(..., smap)``), so no codeword is mapped here.  A class
-    keyed by a residue pair is labelled ``a=..,b=..``.  With ``orbit``, a
-    function from class key to the key of its symmetry orbit (``_complement``
-    or ``_reverse_complement``), a passing class decides the rest of its
-    orbit; see ``_run_orbits``.
+    as its residues minus its cells.  The classes are built through ``smap``
+    as ``helberg_classes(..., smap)`` builds them, so no codeword is mapped
+    here.  ``paired`` campaigns pair class a with (c - a) mod m under
+    x -> q - 1 - x (``_complement``).  The leader of each orbit, the smaller
+    residue, lies in [0, c/2] or in [c + 1, (c + m)/2], and only those two
+    ranges are built (``_helberg_walk``).  Each partner takes its leader's size,
+    and its cell when the leader passes (``_run_orbits``); the partners of
+    failing leaders are built by one walk over their residues and decided in
+    the second round.
     """
-    items = []
-    for key, ws in classes.items():
-        if len(ws) >= min_size:
-            label = f"a={key[0]},b={key[1]}" if isinstance(key, tuple) else f"a={key}"
-            items.append((key if orbit is None else orbit(key), label, (label, ws)))
-    return tuple(_run_orbits(items, partial(batch, check_s), workers))
+    _guard_space(n, q, s, limit, smap)
+    m, c = _complement(n, q, s)
+    if paired:
+        spans = [(range(c // 2 + 1), c), (range(c + 1, (c + m) // 2 + 1), c + m)]
+    else:
+        spans = [(range(m), None)]
+    _, leaders = _helberg_walk(n, q, s, limit, smap, [span for span, _ in spans])
+    sizes = [0] * m
+    items: list[tuple[int, str, object]] = []
+    for span, end in spans:
+        own = [a for a in leaders if a in span]
+        for a in own:
+            ws = leaders[a]
+            sizes[a] = len(ws)
+            if len(ws) >= min_size:
+                label = f"a={a}"
+                items.append((a, label, (label, ws)))
+        if end is not None:
+            # Leader a's partner is end - a; the span's partners follow its
+            # leaders, in ascending order.
+            for a in reversed(own):
+                sizes[end - a] = sizes[a]
+                if end - a != a and sizes[a] >= min_size:
+                    items.append((a, f"a={end - a}", end - a))
+
+    def fill(residues: list[int]) -> list[tuple]:
+        _, partners = _helberg_walk(n, q, s, limit, smap, [range(a, a + 1) for a in residues])
+        return [(f"a={a}", partners[a]) for a in residues]
+
+    return m, sizes, tuple(_run_orbits(items, partial(batch, check_s), workers, fill))
 
 
-def _class_summary(m: int, classes: dict[int, tuple[Word, ...]], cells: tuple) -> dict:
-    sizes = {a: len(ws) for a, ws in classes.items()}
-    top = max(sizes.values(), default=0)
+def _class_summary(m: int, sizes: list[int], cells: tuple) -> dict:
+    top = max(sizes, default=0)
     return {
         "modulus": m,
         "residues": m,
         "trivial_residues": m - len(cells),
         "max_codewords": top,
-        "max_residues": sorted(a for a, c in sizes.items() if c == top),
+        "max_residues": [a for a, k in enumerate(sizes) if k == top],
     }
 
 
@@ -313,16 +355,17 @@ def verify_image_correction(
     the summary instead of producing cells.
     """
     smap = smap or naisargik_map("phi9")
-    m, classes = helberg_classes(n, 4, s, limit, smap)
     # x -> 3 - x on the quaternary words complements every image bit, for
     # maps that commute with it.
-    orbit = _complement(n, 4, s) if _complement_commutes(smap) else None
-    cells = _correction_cells(classes, _correction_batch, s + 1, workers, orbit=orbit)
+    paired = _complement_commutes(smap)
+    m, sizes, cells = _helberg_cells(
+        n, 4, s, smap, limit, _correction_batch, s + 1, workers, paired=paired
+    )
     return CampaignResult(
         campaign="image-correction",
         params={"n": n, "q": 4, "s": s, "check_s": s + 1, "map": smap.name},
         cells=cells,
-        summary=_class_summary(m, classes, cells),
+        summary=_class_summary(m, sizes, cells),
     )
 
 
@@ -338,16 +381,14 @@ def verify_inverse_correction(
     ``n_bits`` must be even so every codeword has a quaternary preimage.
     """
     smap = smap or naisargik_map("phi9")
-    m, classes = helberg_classes(n_bits, 2, s, limit, smap)
     # Bit complement of the binary words; on the preimages it is the symbol
     # permutation smap^-1 o c o smap, for every map.
-    orbit = _complement(n_bits, 2, s)
-    cells = _correction_cells(classes, _correction_batch, s // 2, workers, orbit=orbit)
+    m, sizes, cells = _helberg_cells(n_bits, 2, s, smap, limit, _correction_batch, s // 2, workers)
     return CampaignResult(
         campaign="inverse-correction",
         params={"n": n_bits, "q": 2, "s": s, "check_s": s // 2, "map": smap.name},
         cells=cells,
-        summary=_class_summary(m, classes, cells),
+        summary=_class_summary(m, sizes, cells),
     )
 
 
@@ -438,8 +479,9 @@ def reduction_analysis(
     quaternary: the reduction is defined over Z_4 only.
     """
     check = s if check_s is None else check_s
-    m, classes = helberg_classes(n, 4, s, limit)
-    cells = _correction_cells(classes, _reduction_batch, check, workers, min_size=1)
+    m, _, cells = _helberg_cells(
+        n, 4, s, None, limit, _reduction_batch, check, workers, min_size=1, paired=False
+    )
     passing = sum(1 for c in cells if c.passed)
     summary = {
         "modulus": m,
@@ -464,8 +506,9 @@ def torsion_analysis(
     A cell passes when the torsion code has at most one word, confirming
     that no residue carries a nontrivial torsion code.
     """
-    m, classes = helberg_classes(n, 4, s, limit)
-    cells = _correction_cells(classes, _torsion_batch, None, workers, min_size=1)
+    m, _, cells = _helberg_cells(
+        n, 4, s, None, limit, _torsion_batch, None, workers, min_size=1, paired=False
+    )
     sizes = sorted({c.detail["torsion_size"] for c in cells})
     summary = {"modulus": m, "torsion_sizes_seen": sizes}
     return CampaignResult(
@@ -482,9 +525,17 @@ def verify_vt_correction(
     """Every VT residue class (binary or q-ary) corrects a single deletion."""
     # The binary VT code is the Helberg code with q = 2 and s = 1: its weights
     # are 1..n and its modulus is n + 1.
-    classes = helberg_classes(n, 2, 1, limit)[1] if q == 2 else qary_vt_classes(n, q, limit)
-    orbit = _complement(n, 2, 1) if q == 2 else _reverse_complement(n, q)
-    cells = _correction_cells(classes, _correction_batch, 1, workers, min_size=1, orbit=orbit)
+    if q == 2:
+        _, _, cells = _helberg_cells(
+            n, 2, 1, None, limit, _correction_batch, 1, workers, min_size=1
+        )
+    else:
+        orbit = _reverse_complement(n, q)
+        items = []
+        for key, ws in qary_vt_classes(n, q, limit).items():
+            label = f"a={key[0]},b={key[1]}"
+            items.append((orbit(key), label, (label, ws)))
+        cells = tuple(_run_orbits(items, partial(_correction_batch, 1), workers))
     return CampaignResult(
         campaign="vt-correction",
         params={"n": n, "q": q, "s": 1},
@@ -497,8 +548,7 @@ def verify_helberg_self(
     n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM, workers: int = 1
 ) -> CampaignResult:
     """Every Helberg codebook corrects its own deletion budget s."""
-    m, classes = helberg_classes(n, q, s, limit)
-    cells = _correction_cells(classes, _correction_batch, s, workers, orbit=_complement(n, q, s))
+    m, _, cells = _helberg_cells(n, q, s, None, limit, _correction_batch, s, workers)
     return CampaignResult(
         campaign="helberg-self",
         params={"n": n, "q": q, "s": s},

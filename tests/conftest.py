@@ -17,6 +17,7 @@ from naisargik import (
     weight_sequence,
 )
 from naisargik import verify as verify_mod
+from naisargik.helberg import _residue_stream
 
 
 def sphere_by_index_subsets(word, s):
@@ -82,20 +83,19 @@ def insertion_failing_classes(key, length, t, q):
     return failing
 
 
-def conj1_fails_by_insertions(smap, n):
+def conj1_fails_by_insertions(smap, n, key=lambda x: qary_vt_residues(x, 4)):
     """Sphere-free route to a Conjecture 1 failure of ``smap`` at length n.
 
     Two images of Z_4^n share a 1-deletion member z exactly when both are
     1-insertion supersequences of z, so their weights differ by at most one,
     and they differ exactly when one inserts a 0 and the other a 1.  The map
     fails when some z in Z_2^(2n - 1) has a 0-insertion and a 1-insertion
-    whose preimages share a q-ary VT class key.
+    whose preimages share a class ``key``, by default the q-ary VT residue
+    pair.
     """
 
     def keys(z, bit):
-        return {
-            qary_vt_residues(smap.invert(z[:i] + (bit,) + z[i:]), 4) for i in range(len(z) + 1)
-        }
+        return {key(smap.invert(z[:i] + (bit,) + z[i:])) for i in range(len(z) + 1)}
 
     return any(keys(z, 0) & keys(z, 1) for z in all_words(2 * n - 1, 2))
 
@@ -159,6 +159,35 @@ def helberg_classes_by_moment(n, q, s, smap=None):
     return w.modulus, {a: tuple(ws) for a, ws in sorted(buckets.items())}
 
 
+def helberg_stream_classes(n, q, s, smap=None):
+    """Stream oracle for ``helberg._helberg_walk``: every word of the space
+    zipped with its residue from ``helberg._residue_stream``, bucketed, the
+    classes in ascending residue order.
+
+    This is the class builder the walk replaced.  Symbol x at position i adds
+    x * v_i.  With ``smap`` the words are those the map pairs with Z_q^n: at
+    q = 4 the binary images, from Z_2^(2n), the bit pair at letter i adding
+    smap.inverse[pair] * v_i; at q = 2 the quaternary preimages, from
+    Z_4^(n/2), symbol x at position i adding b1 * v_(2i-1) + b2 * v_(2i) for
+    (b1, b2) = smap(x).  Returns (m, classes).
+    """
+    w = weight_sequence(n, q, s)
+    v = w.values[:-1]
+    if smap is None:
+        steps = [[x * vi for x in range(q)] for vi in v]
+        words = all_words(n, q)
+    elif q == 4:
+        steps = [[x * vi for x in smap.inverse] for vi in v]
+        words = all_words(2 * n, 2)
+    else:
+        steps = [[b1 * v1 + b2 * v2 for b1, b2 in smap.table] for v1, v2 in zip(v[::2], v[1::2])]
+        words = all_words(n // 2, 4)
+    buckets = {}
+    for x, a in zip(words, _residue_stream([[step] for step in steps], w.modulus)):
+        buckets.setdefault(a, []).append(x)
+    return w.modulus, {a: tuple(buckets[a]) for a in sorted(buckets)}
+
+
 def qary_vt_classes_by_residues(n, q, smap=None):
     """Per-word oracle for ``qary_vt_classes``: bucket Z_q^n by residue pair.
 
@@ -184,18 +213,35 @@ def qary_vt_code_by_residues(n, q, a, b):
 
 @contextlib.contextmanager
 def direct_route():
-    """Second route for the orbit campaigns: inside, every cell is decided on its own.
+    """Second route for the orbit campaigns: inside, every class is built and
+    every cell decided on its own.
 
-    ``verify._run_orbits`` is replaced by a loop that calls the batch function
-    on every input in order, as a batch of one, so no verdict is copied
-    between classes or maps and no class shares a kernel call.
+    ``verify._helberg_cells`` is replaced by one that builds every class of
+    the space with the stream oracle (``helberg_stream_classes``), takes each
+    class's size from its words, and calls the batch function on each class
+    of ``min_size`` or more words as a batch of one.  ``verify._run_orbits``
+    is replaced by a loop that calls the batch function on every input in
+    order, as a batch of one.  So no verdict or size is copied between
+    classes or maps, no class comes from the walk, and no class shares a
+    kernel call.
     """
 
     def each(items, fn, workers):
         return [cell for _, _, args in items for cell in fn([args])]
 
+    def every_class(n, q, s, smap, limit, batch, check_s, workers, min_size=2, paired=True):
+        m, classes = helberg_stream_classes(n, q, s, smap)
+        cells = [
+            cell
+            for a, ws in classes.items()
+            if len(ws) >= min_size
+            for cell in batch(check_s, [(f"a={a}", ws)])
+        ]
+        return m, [len(classes.get(a, ())) for a in range(m)], tuple(cells)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify_mod, "_run_orbits", each)
+        patch.setattr(verify_mod, "_helberg_cells", every_class)
         yield
 
 

@@ -26,11 +26,14 @@ from naisargik import (
     verify_coefficient_lemma,
     weight_sequence,
 )
-from naisargik.helberg import _residue_stream
+from naisargik import helberg as helberg_mod
+from naisargik.helberg import _helberg_walk, _residue_stream
+from naisargik.words import DEFAULT_MAX_ENUM
 from conftest import (
     enumerated_census,
     grids_beyond_oracle,
     helberg_classes_by_moment,
+    helberg_stream_classes,
     modulus_from_definition,
     oracle_grids,
 )
@@ -186,6 +189,86 @@ def test_residue_stream_equals_the_per_word_sum(data, q, n, m, helberg_shaped):
         for x in itertools.product(range(q), repeat=n)
     ]
     assert list(_residue_stream(rows, m)) == expected
+
+
+PHI8, PHI9 = naisargik_map("phi8"), naisargik_map("phi9")
+
+
+def _walk_both_ways(n, q, s, smap, runs):
+    """``_helberg_walk`` on ``runs``, once taking each head's tails by
+    bisecting every run and once going over all of them."""
+    walks = []
+    for tails_per_range in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(helberg_mod, "_TAILS_PER_RANGE", tails_per_range)
+            walks.append(_helberg_walk(n, q, s, DEFAULT_MAX_ENUM, smap, runs))
+    return walks
+
+
+def _restricted(m, classes, runs):
+    """The oracle's classes in ``runs``, run by run, members taken mod m."""
+    return {a % m: list(classes[a % m]) for run in runs for a in run if a % m in classes}
+
+
+@st.composite
+def walk_points(draw):
+    """(n, q, s, smap) with at most 256 words: q = 2, 3, 4, and at q = 2 and
+    4 also the word spaces phi9 and phi8 pair with Z_q^n."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    smap = None if q == 3 else draw(st.sampled_from([None, PHI9, PHI8]))
+    if q == 2 and smap is not None:
+        n = 2 * draw(st.integers(1, 4))
+    else:
+        n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[q]))
+    return n, q, draw(st.integers(1, 3)), smap
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_points(), st.data())
+def test_walk_equals_the_stream_oracle_on_any_runs(point, data):
+    # Disjoint runs from a random start, with gaps, empty runs, and runs that
+    # pass m - 1 and wrap to 0; every shifted run of a head may wrap too.
+    n, q, s, smap = point
+    m, classes = helberg_stream_classes(n, q, s, smap)
+    pos = start = data.draw(st.integers(0, m - 1))
+    runs = []
+    for gap, length in data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)))):
+        pos += gap
+        length = min(length, start + m - pos)
+        if length < 0:
+            break
+        runs.append(range(pos, pos + length))
+        pos += length
+    expected = _restricted(m, classes, runs)
+    for walk in _walk_both_ways(n, q, s, smap, runs):
+        assert walk == (m, expected)
+        assert list(walk[1]) == list(expected)
+    if smap is None:
+        a = data.draw(st.integers(0, m - 1))
+        assert helberg_code(n, q, s, a) == set(classes[a])
+
+
+@pytest.mark.parametrize(
+    "n, q, s, smap",
+    [(6, 2, 2, None), (7, 2, 1, None), (4, 3, 1, None), (3, 4, 2, None), (3, 4, 1, PHI9),
+     (4, 4, 1, PHI8), (8, 2, 3, PHI9), (6, 2, 2, PHI8)],
+)
+def test_walk_on_the_runs_a_campaign_takes(n, q, s, smap):
+    # The two leader runs of x -> q - 1 - x and their mirrors tile Z_m, the
+    # self-partner residues c/2 and (c + m)/2 falling in the leader runs; a
+    # run of all m residues may start anywhere; an empty run and no runs
+    # give no class.
+    m, classes = helberg_stream_classes(n, q, s, smap)
+    c = (q - 1) * sum(weight_sequence(n, q, s).values[:-1]) % m
+    leaders = [range(c // 2 + 1), range(c + 1, (c + m) // 2 + 1)]
+    mirrors = [range(c - c // 2, c + 1), range(c + m - (c + m) // 2, m)]
+    selves = [range(t // 2, t // 2 + 1) for t in (c, c + m) if t % 2 == 0]
+    tiled = sorted(a for run in leaders + mirrors for a in run)
+    assert tiled == sorted([*range(m), *(run.start for run in selves)])
+    everything = [range(m)], [range(m - 1, 2 * m - 1)]
+    for runs in (leaders, mirrors, selves, *everything, [range(3, 3)], []):
+        for walk in _walk_both_ways(n, q, s, smap, runs):
+            assert walk == (m, _restricted(m, classes, runs))
 
 
 # Peaks of the per-word builders the residue streams replaced, measured with

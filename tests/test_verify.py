@@ -324,6 +324,13 @@ def _complement(word):
     return tuple(1 - b for b in word)
 
 
+def _complement_orbit(n, q, s):
+    """The orbit of a class of H(n, q, s, .) under ``verify._complement``: the
+    lesser of its residue and its partner's."""
+    m, c = verify_mod._complement(n, q, s)
+    return lambda a: min(a, (c - a) % m)
+
+
 def _assert_classes_pair(classes, orbit, transform):
     """``transform`` sends each class onto the other class of its orbit, or onto itself."""
     groups = {}
@@ -339,14 +346,14 @@ def _assert_classes_pair(classes, orbit, transform):
 @pytest.mark.parametrize("n, q, s", [(6, 2, 2), (9, 2, 3), (4, 3, 1), (4, 4, 2), (3, 5, 1)])
 def test_helberg_classes_pair_by_complement(n, q, s):
     _, classes = helberg_classes(n, q, s)
-    orbit = verify_mod._complement(n, q, s)
+    orbit = _complement_orbit(n, q, s)
     _assert_classes_pair(classes, orbit, lambda w: tuple(q - 1 - x for x in w))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_binary_vt_classes_pair_by_complement(n):
     _, classes = helberg_classes(n, 2, 1)
-    _assert_classes_pair(classes, verify_mod._complement(n, 2, 1), _complement)
+    _assert_classes_pair(classes, _complement_orbit(n, 2, 1), _complement)
 
 
 @pytest.mark.parametrize("n, q", [(1, 3), (2, 4), (5, 3), (4, 4), (3, 5)])
@@ -360,7 +367,7 @@ def test_qary_vt_classes_pair_by_reversed_complement(n, q):
 def test_inverse_classes_pair_by_bit_complement_under_every_map(smap):
     for n_bits, s in [(6, 2), (8, 3)]:
         _, classes = helberg_classes(n_bits, 2, s, smap=smap)
-        orbit = verify_mod._complement(n_bits, 2, s)
+        orbit = _complement_orbit(n_bits, 2, s)
         _assert_classes_pair(classes, orbit, lambda w: smap.invert(_complement(smap.apply(w))))
 
 
@@ -377,7 +384,7 @@ def test_image_classes_pair_by_complement_only_under_maps_that_commute_with_it(s
         commutes = verify_mod._complement_commutes(smap)
         assert commutes == (smap.name in THM1_PAIRED_MAPS)
         if commutes:
-            orbit = verify_mod._complement(n, 4, s)
+            orbit = _complement_orbit(n, 4, s)
             _assert_classes_pair(helberg_classes(n, 4, s, smap=smap)[1], orbit, _complement)
 
 
@@ -433,6 +440,20 @@ def test_equal_weight_holds_exactly_under_the_parity_maps(n):
     passing = {m.name for m in all_bijections() if equal_weight_scan(n, m)[1] is None}
     assert passing == parity
     assert len(all_bijections()) - len(passing) == 16
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_equal_weight_holds_on_the_parity_classes_exactly_under_the_parity_maps(n):
+    # The VT checksum plays no part: on the two classes of sum(X) mod 2 alone,
+    # images sharing a 1-deletion member have equal weight exactly under the
+    # 8 maps with (wt(smap(x)) - x) mod 2 constant.
+    passing = {
+        m.name
+        for m in all_bijections()
+        if not conj1_fails_by_insertions(m, n, key=lambda x: sum(x) % 2)
+    }
+    assert passing == {m.name for m in all_bijections() if _weight_parity_map(m)}
+    assert len(passing) == 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -528,7 +549,7 @@ def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
     result = verify_helberg_self(10, 2, 2)
     assert result.passed
     _, classes = helberg_classes(10, 2, 2)
-    orbit = verify_mod._complement(10, 2, 2)
+    orbit = _complement_orbit(10, 2, 2)
     orbits = {orbit(a) for a, ws in classes.items() if len(ws) >= 2}
     assert len(calls) == 1
     assert len(calls[0][0]) == len(orbits) < len(result.cells)
@@ -583,7 +604,8 @@ def test_paired_campaigns_hand_the_runner_fewer_orbits_than_cells(monkeypatch, c
     monkeypatch.setattr(
         verify_mod,
         "_run_orbits",
-        lambda items, fn, workers: handed.append(items) or run_orbits(items, fn, workers),
+        lambda items, fn, workers, fill=None: handed.append(items)
+        or run_orbits(items, fn, workers, fill),
     )
     cells = len(campaign(limit=DEFAULT_MAX_ENUM, workers=1).cells)
     routed = sum(map(len, handed))
@@ -621,13 +643,13 @@ def test_a_small_cap_splits_a_campaign_into_kernel_calls(monkeypatch, campaign, 
     [
         (lambda workers: verify_helberg_self(10, 2, 2, workers=workers), [2]),
         (lambda workers: verify_vt_correction(6, 4, workers=workers), [2]),
-        (lambda workers: verify_image_correction(5, 2, PERM7, workers=workers), [2, 2]),
+        (lambda workers: verify_image_correction(5, 2, PERM7, workers=workers), [2]),
         (lambda workers: _scan_campaign(4, VT_MAP_NAMES, DEFAULT_MAX_ENUM, workers), [2]),
     ],
     ids=["helberg-self", "vt1-q4", "thm1-perm-7", "conj1"],
 )
 def test_orbit_campaigns_match_across_workers(monkeypatch, campaign, pools):
-    # A failing orbit decides its other cells in a second round, with its own pool.
+    # A failing orbit decides its other cells in a second round, in the same pool.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
     monkeypatch.setattr(
