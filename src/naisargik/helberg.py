@@ -15,9 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, cycle, islice
 from math import factorial
-from operator import add, is_not
+from operator import add
 from typing import Iterator, Sequence
 
 from .maps import SymbolMap
@@ -152,13 +152,6 @@ def _guard_space(n: int, q: int, s: int, limit: int, smap: SymbolMap | None = No
     guard_word_space(n, q, s, limit)
 
 
-#: A range costs each head of ``_helberg_walk`` two bisects and a few slices,
-#: about what this many of its tails cost to go over one by one (9 to 12,
-#: timed on 2 vCPUs, Python 3.11); with fewer tails per range than this, each
-#: head goes over all of its tails instead.
-_TAILS_PER_RANGE = 10
-
-
 def _helberg_walk(
     n: int,
     q: int,
@@ -217,34 +210,19 @@ def _helberg_walk(
     ]
     ranges = [range(m)] if ranges is None else list(ranges)
     buckets: list[list[list[Word]]] = [[[] for _ in span] for span in ranges]
-    if _TAILS_PER_RANGE * len(ranges) <= len(tails):
-        for h, head in heads:
-            for span, into in zip(ranges, buckets):
-                lo = (span.start - h) % m
-                hi = lo + len(span)
-                i = bisect_left(residues, lo)
-                if hi <= m:
-                    cuts = [(i, bisect_left(residues, hi), -lo)]
-                else:
-                    cuts = [(i, len(tails), -lo), (0, bisect_left(residues, hi - m), m - lo)]
-                for i, j, shift in cuts:
-                    found = map(into.__getitem__, map(shift.__add__, residues[i:j]))
-                    for bucket, word in zip(found, map(head.__add__, tails[i:j])):
-                        bucket.append(word)
-    else:
-        # Each head goes over all its tails, in two slices split where h + t
-        # passes m, and skips those that put it in no class of ``ranges``.
-        slot: list[list[Word] | None] = [None] * m
+    for h, head in heads:
         for span, into in zip(ranges, buckets):
-            for a, bucket in zip(span, into):
-                slot[a % m] = bucket
-        for h, head in heads:
-            split = bisect_left(residues, m - h)
-            for i, j, shift in ((0, split, h), (split, len(tails), h - m)):
-                found = list(map(slot.__getitem__, map(shift.__add__, residues[i:j])))
-                kept = map(is_not, found, repeat(None))
-                for bucket, tail in compress(zip(found, tails[i:j]), kept):
-                    bucket.append(head + tail)
+            lo = (span.start - h) % m
+            hi = lo + len(span)
+            i = bisect_left(residues, lo)
+            if hi <= m:
+                cuts = [(i, bisect_left(residues, hi), -lo)]
+            else:
+                cuts = [(i, len(tails), -lo), (0, bisect_left(residues, hi - m), m - lo)]
+            for i, j, shift in cuts:
+                found = map(into.__getitem__, map(shift.__add__, residues[i:j]))
+                for bucket, word in zip(found, map(head.__add__, tails[i:j])):
+                    bucket.append(word)
     return m, {a % m: ws for span, into in zip(ranges, buckets) for a, ws in zip(span, into) if ws}
 
 
@@ -262,16 +240,20 @@ def helberg_classes(
     s: int,
     limit: int = DEFAULT_MAX_ENUM,
     smap: SymbolMap | None = None,
+    ranges: Sequence[range] | None = None,
 ) -> tuple[int, dict[int, tuple[Word, ...]]]:
-    """Z_q^n by moment residue: ``_helberg_walk`` over all of Z_m.
+    """Z_q^n by moment residue: ``_helberg_walk`` over ``ranges``, None for all of Z_m.
 
     Returns (m, classes); residues with no codeword are absent from the
     mapping.  Words are sorted within each class, and no word's moment is
     evaluated on its own; with ``smap`` each class holds the words the map
     pairs with H(n, q, s, a).
     """
-    m, classes = _helberg_walk(n, q, s, limit, smap)
-    return m, {a: tuple(ws) for a, ws in classes.items()}
+    m, classes = _helberg_walk(n, q, s, limit, smap, ranges)
+    # Class by class, so no more than one class is held twice.
+    for a, ws in classes.items():
+        classes[a] = tuple(ws)
+    return m, classes
 
 
 def helberg_census(n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM) -> list[int]:

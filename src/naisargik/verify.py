@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable, Sequence
 
 from .helberg import (
     _guard_space,
-    _helberg_walk,
     coefficient,
     guard_word_space,
     helberg_census,
@@ -192,21 +191,29 @@ def _run_orbits(
     ones are decided too, in a second round, so each failing cell reports its
     own canonical witness.  With ``fill``, a later item's input is a stand-in
     that ``fill`` turns into the real one, called once on the stand-ins of
-    the second round.  Both rounds share one pool of worker processes.
+    the second round.  A round of more than one input may take worker
+    processes; the first round that does opens the one pool both rounds share.
     """
     first: dict[Hashable, int] = {}
     heads = [first.setdefault(orbit, i) for i, (orbit, _, _) in enumerate(items)]
     cells: list[CampaignCell | None] = [None] * len(items)
-    leaders = list(first.values())
-    size = effective_workers(workers, len(leaders), os.cpu_count())
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        for i, cell in zip(leaders, _run_cells([items[i][2] for i in leaders], fn, pool, size)):
-            cells[i] = cell
+    pool: ProcessPoolExecutor | None = None
+    with ExitStack() as stack:
+
+        def run(rows: list[int], inputs: list[tuple]) -> None:
+            nonlocal pool
+            size = effective_workers(workers, len(inputs), os.cpu_count())
+            if pool is None and size > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=size))
+            for i, cell in zip(rows, _run_cells(inputs, fn, pool if size > 1 else None, size)):
+                cells[i] = cell
+
+        leaders = list(first.values())
+        run(leaders, [items[i][2] for i in leaders])
         redo = [i for i, head in enumerate(heads) if head != i and not cells[head].passed]
         if redo:
             inputs = [items[i][2] for i in redo]
-            for i, cell in zip(redo, _run_cells(fill(inputs) if fill else inputs, fn, pool, size)):
-                cells[i] = cell
+            run(redo, fill(inputs) if fill else inputs)
     return [
         CampaignCell(label, cells[head].passed, cells[head].detail) if cell is None else cell
         for cell, head, (_, label, _) in zip(cells, heads, items)
@@ -293,10 +300,11 @@ def _helberg_cells(
     here.  ``paired`` campaigns pair class a with (c - a) mod m under
     x -> q - 1 - x (``_complement``).  The leader of each orbit, the smaller
     residue, lies in [0, c/2] or in [c + 1, (c + m)/2], and only those two
-    ranges are built (``_helberg_walk``).  Each partner takes its leader's size,
-    and its cell when the leader passes (``_run_orbits``); the partners of
-    failing leaders are built by one walk over their residues and decided in
-    the second round.
+    ranges are built (``helberg_classes`` on those ranges).  Each partner takes
+    its leader's size, and its cell when the leader passes (``_run_orbits``);
+    the partners of failing leaders are built by one walk over the stretch of
+    the mirror ranges [c - c/2, c] and [(c + m)/2, m - 1] between the first
+    and the last of them, and decided in the second round.
     """
     _guard_space(n, q, s, limit, smap)
     m, c = _complement(n, q, s)
@@ -304,9 +312,10 @@ def _helberg_cells(
         spans = [(range(c // 2 + 1), c), (range(c + 1, (c + m) // 2 + 1), c + m)]
     else:
         spans = [(range(m), None)]
-    _, leaders = _helberg_walk(n, q, s, limit, smap, [span for span, _ in spans])
+    _, leaders = helberg_classes(n, q, s, limit, smap, [span for span, _ in spans])
     sizes = [0] * m
     items: list[tuple[int, str, object]] = []
+    mirrors = []
     for span, end in spans:
         own = [a for a in leaders if a in span]
         for a in own:
@@ -317,14 +326,18 @@ def _helberg_cells(
                 items.append((a, label, (label, ws)))
         if end is not None:
             # Leader a's partner is end - a; the span's partners follow its
-            # leaders, in ascending order.
+            # leaders, in ascending order, in the span's mirror.
+            mirrors.append(range(end - span.stop + 1, end - span.start + 1))
             for a in reversed(own):
                 sizes[end - a] = sizes[a]
                 if end - a != a and sizes[a] >= min_size:
                     items.append((a, f"a={end - a}", end - a))
 
     def fill(residues: list[int]) -> list[tuple]:
-        _, partners = _helberg_walk(n, q, s, limit, smap, [range(a, a + 1) for a in residues])
+        # One walk over the stretch of each mirror that holds asked residues.
+        runs = [[a for a in residues if a in mirror] for mirror in mirrors]
+        wanted = [range(min(run), max(run) + 1) for run in runs if run]
+        _, partners = helberg_classes(n, q, s, limit, smap, wanted)
         return [(f"a={a}", partners[a]) for a in residues]
 
     return m, sizes, tuple(_run_orbits(items, partial(batch, check_s), workers, fill))

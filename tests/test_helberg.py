@@ -26,7 +26,6 @@ from naisargik import (
     verify_coefficient_lemma,
     weight_sequence,
 )
-from naisargik import helberg as helberg_mod
 from naisargik.helberg import _helberg_walk, _residue_stream
 from naisargik.words import DEFAULT_MAX_ENUM
 from conftest import (
@@ -194,17 +193,6 @@ def test_residue_stream_equals_the_per_word_sum(data, q, n, m, helberg_shaped):
 PHI8, PHI9 = naisargik_map("phi8"), naisargik_map("phi9")
 
 
-def _walk_both_ways(n, q, s, smap, runs):
-    """``_helberg_walk`` on ``runs``, once taking each head's tails by
-    bisecting every run and once going over all of them."""
-    walks = []
-    for tails_per_range in (0, 10**9):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(helberg_mod, "_TAILS_PER_RANGE", tails_per_range)
-            walks.append(_helberg_walk(n, q, s, DEFAULT_MAX_ENUM, smap, runs))
-    return walks
-
-
 def _restricted(m, classes, runs):
     """The oracle's classes in ``runs``, run by run, members taken mod m."""
     return {a % m: list(classes[a % m]) for run in runs for a in run if a % m in classes}
@@ -240,9 +228,11 @@ def test_walk_equals_the_stream_oracle_on_any_runs(point, data):
         runs.append(range(pos, pos + length))
         pos += length
     expected = _restricted(m, classes, runs)
-    for walk in _walk_both_ways(n, q, s, smap, runs):
-        assert walk == (m, expected)
-        assert list(walk[1]) == list(expected)
+    walk = _helberg_walk(n, q, s, DEFAULT_MAX_ENUM, smap, runs)
+    assert walk == (m, expected)
+    assert list(walk[1]) == list(expected)
+    as_tuples = {a: tuple(ws) for a, ws in expected.items()}
+    assert helberg_classes(n, q, s, smap=smap, ranges=runs) == (m, as_tuples)
     if smap is None:
         a = data.draw(st.integers(0, m - 1))
         assert helberg_code(n, q, s, a) == set(classes[a])
@@ -267,8 +257,8 @@ def test_walk_on_the_runs_a_campaign_takes(n, q, s, smap):
     assert tiled == sorted([*range(m), *(run.start for run in selves)])
     everything = [range(m)], [range(m - 1, 2 * m - 1)]
     for runs in (leaders, mirrors, selves, *everything, [range(3, 3)], []):
-        for walk in _walk_both_ways(n, q, s, smap, runs):
-            assert walk == (m, _restricted(m, classes, runs))
+        walk = _helberg_walk(n, q, s, DEFAULT_MAX_ENUM, smap, runs)
+        assert walk == (m, _restricted(m, classes, runs))
 
 
 # Peaks of the per-word builders the residue streams replaced, measured with

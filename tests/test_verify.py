@@ -661,6 +661,23 @@ def test_orbit_campaigns_match_across_workers(monkeypatch, campaign, pools):
     assert started == pools
 
 
+def test_a_second_round_of_many_cells_opens_the_pool(monkeypatch):
+    # One orbit of four: its failing first cell is decided in process, and
+    # the other three, decided again, in the one pool of two workers.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    monkeypatch.setattr(
+        verify_mod,
+        "ProcessPoolExecutor",
+        lambda max_workers: started.append(max_workers) or ProcessPoolExecutor(max_workers),
+    )
+    items = [("phi9", label, (4, "phi9", DEFAULT_MAX_ENUM)) for label in "abcd"]
+    runs = [verify_mod._run_orbits(items, verify_mod._equal_weight_batch, w) for w in (1, 2)]
+    assert started == [2]
+    assert runs[0] == runs[1]
+    assert not any(cell.passed for cell in runs[1])
+
+
 # A sphere-free second route for the correction campaigns: the classes that
 # fail by t-insertion supersequences (``conftest.insertion_failing_classes``)
 # are exactly the failing cells.  Images and preimages tile their word spaces,
