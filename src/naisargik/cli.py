@@ -16,6 +16,7 @@ import csv
 import inspect
 import json
 import sys
+from itertools import islice
 from typing import Callable
 
 from . import tables as tables_mod
@@ -72,9 +73,23 @@ def _parse_map_list(text: str) -> tuple[str, ...]:
     return names
 
 
+#: Encoder chunks joined into one write by ``_print_json``.
+_JSON_BATCH = 1 << 14
+
+
+def _print_json(obj) -> None:
+    """``print(json.dumps(obj, indent=2))``, written in batches of encoder
+    chunks, so the document is never held as one string."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    write = sys.stdout.write
+    for batch in iter(lambda: list(islice(chunks, _JSON_BATCH)), []):
+        write("".join(batch))
+    write("\n")
+
+
 def _emit_words(words: list[str], fmt: str, meta: dict) -> None:
     if fmt == "json":
-        print(json.dumps({**meta, "codewords": words}, indent=2))
+        _print_json({**meta, "codewords": words})
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["codeword"])
@@ -87,7 +102,7 @@ def _emit_words(words: list[str], fmt: str, meta: dict) -> None:
 def _emit_table(table: Table, fmt: str) -> None:
     if fmt == "json":
         rows = [dict(zip(table.headers, row)) for row in table.rows]
-        print(json.dumps({"table": table.name, "rows": rows}, indent=2))
+        _print_json({"table": table.name, "rows": rows})
     elif fmt == "text":
         widths = [
             max(len(h), *(len(r[i]) for r in table.rows)) if table.rows else len(h)
@@ -104,7 +119,7 @@ def _emit_table(table: Table, fmt: str) -> None:
 
 def _emit_campaign(result: CampaignResult, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(result.to_dict(), indent=2))
+        _print_json(result.to_dict())
     else:
         print(f"campaign: {result.campaign}")
         print("params: " + " ".join(f"{k}={v}" for k, v in result.params.items()))

@@ -25,12 +25,17 @@ greedy walk over the LCS recurrence (``_least_common_member``).
 
 One kernel, ``_peel``, builds every sphere, level by level and for all words
 of a class at once, deleting one symbol per run only: deleting any symbol of
-a run gives the same word (Levenshtein, 1966).  Members are packed as
-``bytes``, one byte per symbol, so symbols lie in range(256); words cross
-the public API as ``tuple``s.  Any one sphere is refused when its C(n, s)
-index subsets exceed ``cap``, on both routes; ``_shared_members``, and so
-only the hashing route, also refuses a class whose spheres hold more than
-``cap`` distinct members, and expands at most about ``cap`` members at a time.
+a run gives the same word (Levenshtein, 1966).  It builds no owners: it keeps
+each level's run-end masks, from which ``_owners`` replays the owner of every
+member when asked.  Members are packed as ``bytes``, one byte per symbol, so
+symbols lie in range(256); words cross the public API as ``tuple``s.  Any one
+sphere is refused when its C(n, s) index subsets exceed ``cap``, on both
+routes; ``_shared_members``, and so only the hashing route, also refuses a
+class whose spheres hold more than ``cap`` distinct members, and expands at
+most about ``cap`` members at a time.  ``_shared_members`` goes in two
+passes: the first counts the members, and a class whose members are all
+distinct ends there without an owner built; only a class whose members
+collide replays its owners, once per chunk.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import lt
+from operator import gt, lt
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -93,11 +98,11 @@ _NONZERO = bytes(1) + b"\x01" * 255
 
 
 def _delete_one_per_run(
-    blob: bytes, w: int, owners: Sequence[int], first: Sequence[int]
-) -> tuple[list[bytes], array, list[int]]:
+    blob: bytes, w: int, first: Sequence[int]
+) -> tuple[list[bytes], list[tuple[int, bytes]], list[int]]:
     """The next deletion level of the w-symbol members laid end to end in
-    ``blob``: each new member beside its owner, grouped by the position p
-    deleted, with the index just past each group.
+    ``blob``, grouped by the position p deleted: the new members, the first
+    lane and the ``keep`` mask of each p, and the index just past each group.
 
     Read as one big-endian integer x, each member is a w-byte lane.  Lane by
     lane, y holds a zero byte, the member's bytes before p and its bytes after
@@ -106,10 +111,12 @@ def _delete_one_per_run(
     y.  Only the last symbol of a run is deleted (p = w - 1, or x_p differs
     from x_(p+1)), which leaves one member per run (Levenshtein, 1966).
     Only lanes i >= first[p] lose p, and only they are cut; ``_peel`` passes
-    the group ends of the level above, so deletions run right to left.
+    the group ends of the level above, so deletions run right to left.  Lane
+    i + first[p] is cut at p exactly when byte i of the mask is 1, so
+    ``_owners`` replays the masks to find each member's owner.
     """
-    lanes = len(owners)
-    size = lanes * w
+    lanes = len(blob) // w
+    size = len(blob)
     x = int.from_bytes(blob, "big")
     shifted = x >> 8
     # Byte i of ``ends`` is 1 exactly where byte i of x differs from byte
@@ -119,30 +126,48 @@ def _delete_one_per_run(
     y = x ^ (x & column)
     cut = Struct(f"x{w - 1}s" * lanes).unpack_from
     members: list[bytes] = []
-    held = array("q")
+    kept: list[tuple[int, bytes]] = []
     after: list[int] = []
     for p in range(w):
         f = first[p]
         keep = ends[f * w + p + 1 :: w] if p + 1 < w else b"\x01" * (lanes - f)
         cut_tail = Struct(f"x{w - 1}s" * (lanes - f)).unpack_from if f else cut
         members.extend(compress(cut_tail(y.to_bytes(size, "big"), f * w), keep))
-        held.extend(compress(owners[f:], keep))
+        kept.append((f, keep))
         after.append(len(members))
         column >>= 8
         y ^= (y ^ shifted) & column
-    return members, held, after
+    return members, kept, after
 
 
-def _peel(blob: bytes, n: int, s: int, owners: range) -> tuple[list[bytes], Sequence[int]]:
+def _peel(
+    blob: bytes, n: int, s: int, owners: range
+) -> tuple[list[bytes], list[list[tuple[int, bytes]]]]:
     """D_s of words ``owners`` of the n-symbol words laid end to end in
-    ``blob`` (one word at s = 0), each member beside its owner.  A member may
-    lose only a symbol left of the one it lost last, so each member of D_s is
-    reached once per owner, through its leftmost embedding: the only deletion
-    set whose every deleted symbol differs from the next kept one."""
+    ``blob`` (one word at s = 0), with the masks of each level, from which
+    ``_owners`` finds each member's owner.  A member may lose only a symbol
+    left of the one it lost last, so each member of D_s is reached once per
+    owner, through its leftmost embedding: the only deletion set whose every
+    deleted symbol differs from the next kept one."""
     members, first = [blob[owners.start * n : owners.stop * n]], [0] * n
+    levels = []
     for t in range(s):
-        members, owners, first = _delete_one_per_run(b"".join(members), n - t, owners, first)
-    return members, owners
+        members, kept, first = _delete_one_per_run(b"".join(members), n - t, first)
+        levels.append(kept)
+    return members, levels
+
+
+def _owners(levels: list[list[tuple[int, bytes]]], owners: range) -> list[int]:
+    """The owner of each member ``_peel`` returned with ``levels``, given
+    ``owners``, the indices of the words it peeled."""
+    # Lists, not arrays: they extend from ``compress`` about twice as fast,
+    # and every level refers to the same int objects.
+    held = list(owners)
+    for kept in levels:
+        owners, held = held, []
+        for f, keep in kept:
+            held += compress(owners[f:], keep)
+    return held
 
 
 def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[int]]:
@@ -150,10 +175,12 @@ def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[
     their indices into ``code``.
 
     ``_peel`` reaches no (member, owner) pair twice, so members are counted: a
-    first pass counts each member's owners and the distinct members against
-    ``cap``, in chunks of words that expand to at most about ``cap`` members;
-    a second pass groups by owner only the members counted twice or more,
-    rebuilding each chunk unless there was only one.
+    first pass counts the members, and the distinct ones against ``cap``, in
+    chunks of words that expand to at most about ``cap`` members, and builds
+    no owner.  A class whose members are all distinct ends there.  Otherwise
+    a second pass replays the masks of each chunk, peeling it again unless
+    there was only one, and groups by owner only the members counted twice or
+    more.
     """
     if not code:
         return {}
@@ -171,19 +198,24 @@ def _shared_members(code: Sequence[Word], s: int, cap: int) -> dict[bytes, list[
     step = max(1, cap // max(comb(n, t) for t in range(1, s + 1)))
     chunks = [range(start, min(start + step, k)) for start in range(0, k, step)]
     counts: Counter[bytes] = Counter()
+    total = 0
     for chunk in chunks:
-        pairs = _peel(blob, n, s, chunk)
-        counts.update(pairs[0])
+        members, levels = _peel(blob, n, s, chunk)
+        counts.update(members)
+        total += len(members)
         if len(counts) > cap:
             raise ResourceLimitError(
                 f"{len(counts)} distinct s={s} sphere members exceed cap {cap}"
             )
-    if counts.total() == len(counts):
+    if total == len(counts):
         return {}
-    hits = sorted(m for m, c in counts.items() if c > 1)
+    hits = sorted(compress(counts, map(gt, counts.values(), repeat(1))))
+    del counts  # before any owner is built
     shared: dict[bytes, list[int]] = {m: [] for m in hits}
     for chunk in chunks:
-        members, owners = pairs if len(chunks) == 1 else _peel(blob, n, s, chunk)
+        if len(chunks) > 1:
+            members, levels = _peel(blob, n, s, chunk)
+        owners = _owners(levels, chunk)
         for m, o in compress(zip(members, owners), map(shared.__contains__, members)):
             shared[m].append(o)
     for owners in shared.values():

@@ -415,12 +415,14 @@ def phi9_image_classes(
     picked residue a maps to a pair: the (codeword, image) pairs of
     H(n, 4, 1, a) in class order, and the residues of the images in
     H(2n, 2, 2, .).  When those residues are the single a', every image lies
-    in H(2n, 2, 2, a') by the definition of the class.  Only Z_4^n is scanned.
+    in H(2n, 2, 2, a') by the definition of the class.  Only Z_4^n is walked,
+    and only the picked classes are built when ``residues`` is given.
     """
     for a in residues or ():
         guard_word_space(n, 4, 1, limit, a)
     smap = naisargik_map("phi9")
-    _, classes4 = helberg_classes(n, 4, 1, limit)
+    ranges = None if residues is None else [range(a, a + 1) for a in residues]
+    _, classes4 = helberg_classes(n, 4, 1, limit, None, ranges)
     if residues is None:
         top = max(len(ws) for ws in classes4.values())
         residues = [a for a, ws in classes4.items() if len(ws) == top]

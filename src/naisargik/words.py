@@ -50,9 +50,19 @@ def parse_word(text: str, q: int) -> Word:
     return word
 
 
+#: ``bytes.translate`` table sending symbols 0..9 to their digits and every
+#: other byte to a non-ASCII one.
+_DIGITS = b"0123456789" + b"\x80" * 246
+
+
 def format_word(word: Word) -> str:
-    """Render a word as a plain digit string ('' for the empty word)."""
-    return "".join(str(sym) for sym in word)
+    """Render a word as a plain digit string ('' for the empty word).
+
+    Symbols outside 0..9 are written in decimal, one after another."""
+    try:
+        return bytes(word).translate(_DIGITS).decode("ascii")
+    except ValueError:  # a symbol outside range(256), or outside 0..9
+        return "".join(map(str, word))
 
 
 def ensure_enumerable(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:

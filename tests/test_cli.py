@@ -10,7 +10,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naisargik import cli as cli_mod
 from naisargik.cli import CAMPAIGNS, TABLES, main
 from naisargik import tables as tables_mod
 from naisargik import verify as verify_mod
@@ -483,6 +486,14 @@ class TestTables:
         assert lines(out)[0].startswith("residue")
 
 
+@settings(max_examples=300)
+@given(st.lists(st.integers(-3, 300) | st.integers(0, 9), max_size=12).map(tuple))
+def test_format_word_writes_each_symbol_in_decimal(word):
+    assert words_mod.format_word(word) == "".join(str(sym) for sym in word)
+    if all(0 <= sym < 10 for sym in word):
+        assert words_mod.parse_word(words_mod.format_word(word), 10) == word
+
+
 def test_gen_map_round_trip(capsys, tmp_path):
     _, out = run(capsys, "gen", "helberg", "--n", "4", "--q", "4", "--s", "1", "--a", "13")
     source = tmp_path / "code.txt"
@@ -498,6 +509,40 @@ def test_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "conj2", "--n", "3", "--format", "json")
     _, second = run(capsys, "verify", "conj2", "--n", "3", "--format", "json")
     assert first == second
+
+
+class Writes(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("verify", "thm1", "--n", "3", "--s", "1"), 0),
+        (("verify", "reduction", "--n", "3", "--s", "1"), 1),
+        (("gen", "helberg", "--n", "4", "--q", "4", "--s", "1", "--a", "13"), 0),
+        (("tables", "table10"), 0),
+    ],
+)
+def test_json_goes_out_in_batches_as_json_dumps_prints_it(capsys, monkeypatch, argv, expected):
+    code, whole = run(capsys, *argv, "--format", "json")
+    document, end = json.JSONDecoder().raw_decode(whole)
+    assert code == expected
+    assert whole[: end + 1] == json.dumps(document, indent=2) + "\n"
+    monkeypatch.setattr(cli_mod, "_JSON_BATCH", 2)
+    out = Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([*argv, "--format", "json"]) == expected
+    assert out.getvalue() == whole
+    assert max(out.sizes) < end / 4
 
 
 #: One small invocation per registry entry and the exit code it must give.

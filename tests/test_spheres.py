@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from naisargik import (
     CorrectionReport,
     ResourceLimitError,
+    binary_vt_code,
     check_codebooks,
     check_deletion_correcting,
     helberg_classes,
@@ -274,9 +275,9 @@ def test_member_cap_bounds_what_the_kernel_holds(s, monkeypatch):
     real = spheres._delete_one_per_run
 
     def spy(*args):
-        level = real(*args)
-        expanded.append(len(level[0]))
-        return level
+        members, kept, after = real(*args)
+        expanded.append(len(members))
+        return members, kept, after
 
     monkeypatch.setattr(spheres, "_delete_one_per_run", spy)
     message = f"^\\d+ distinct s={s} sphere members exceed cap 100$"
@@ -293,6 +294,60 @@ def test_chunked_classes_give_the_unchunked_answer(s):
     assert sphere_collisions(code, s, cap=2 ** (6 - s)) == sphere_collisions(code, s)
     with pytest.raises(ResourceLimitError, match=f"{2 ** (6 - s)} distinct"):
         sphere_collisions(code, s, cap=2 ** (6 - s) - 1)
+
+
+def spy_on(patch, *names):
+    """The arguments of every call of each named kernel of ``spheres``, which
+    still runs."""
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(spheres, name)
+        spy = lambda *args, real=real, log=calls[name]: log.append(args) or real(*args)  # noqa: E731
+        patch.setattr(spheres, name, spy)
+    return calls
+
+
+def test_owners_are_replayed_only_for_classes_that_collide(monkeypatch):
+    calls = spy_on(monkeypatch, "_peel", "_owners")
+    # Binary VT classes correct one deletion: their members are all distinct,
+    # so each class is peeled once and no owner is built.
+    for a in range(11):
+        assert sphere_collisions(sorted(binary_vt_code(10, a)), 1) == {}
+    sphere_members((0, 1, 1, 0), 2)
+    assert len(calls["_peel"]) == 12 and not calls["_owners"]
+    # Z_2^6 collides at s = 1.  A cap of 32 takes chunks of 32 // 6 = 5 words:
+    # each of the 13 is peeled once to count and once more to replay.
+    code = list(itertools.product(range(2), repeat=6))
+    for cap, step in ((spheres.DEFAULT_SPHERE_CAP, 64), (32, 5)):
+        chunks = [range(i, min(i + step, 64)) for i in range(0, 64, step)]
+        calls["_peel"].clear()
+        calls["_owners"].clear()
+        assert sphere_collisions(code, 1, cap) == per_word_collisions(code, 1)
+        assert [args[3] for args in calls["_peel"]] == chunks * (1 if len(chunks) == 1 else 2)
+        assert [args[1] for args in calls["_owners"]] == chunks
+
+
+@settings(max_examples=150, deadline=None)
+@given(classes(max_words=24, max_len=6))
+def test_chunked_classes_match_the_per_word_spheres(code_s):
+    # A cap of step * max C(n, t), t <= s, puts step words in each chunk, so
+    # steps 1..k force k down to 1 chunks; the class passes exactly when its
+    # distinct members fit the cap, and a colliding class replays its owners
+    # once per chunk.
+    code, s = code_s
+    expected = list(per_word_collisions(code, s).items())
+    distinct = len(set().union(*(sphere_by_index_subsets(w, s) for w in code)))
+    per_word = max(comb(len(code[0]), t) for t in range(s + 1)) if code else 1
+    for step in range(1, len(code) + 1):
+        cap = step * per_word
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_on(patch, "_owners")
+            if distinct > cap:
+                with pytest.raises(ResourceLimitError, match=f"distinct s={s} sphere members"):
+                    sphere_collisions(code, s, cap)
+                continue
+            assert list(sphere_collisions(code, s, cap).items()) == expected
+        assert len(calls["_owners"]) == (-(-len(code) // step) if expected else 0)
 
 
 def test_sphere_collisions_rejects_mixed_lengths():

@@ -173,6 +173,21 @@ def test_image_tables_match_codes_built_by_definition(name, kwargs, n, a):
     assert table.rows == expected
 
 
+@pytest.mark.parametrize("name, n, a", [("table10", 4, 40), ("table11", 5, 134)])
+def test_image_tables_walk_only_the_asked_residue(name, n, a, monkeypatch):
+    calls = []
+    real = verify_mod.helberg_classes
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify_mod, "helberg_classes", spy)
+    table = getattr(tables_mod, name)()
+    assert calls == [(n, 4, 1, DEFAULT_MAX_ENUM, None, [range(a, a + 1)])]
+    assert len(table.rows) == len(helberg_code(n, 4, 1, a))
+
+
 def test_cardinality_comparison_recomputed():
     table = tables_mod.table7(range(2, 7))
     observed = [(int(r[3]), int(r[4])) for r in table.rows]
