@@ -15,10 +15,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from itertools import cycle, islice
 from math import factorial
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .maps import SymbolMap
 from .words import (
@@ -123,25 +123,6 @@ def _prefix_sums(sums: list[int], rows: list[list[list[int]]]) -> list[int]:
     return sums
 
 
-def _residue_stream(rows: list[list[list[int]]], m: int) -> Iterator[int]:
-    """(sum over p of rows[p][x_(p-1)][x_p]) mod m for every word x, in lexicographic order.
-
-    Letter y at position p adds rows[p][c][y] after letter c.  The rows of a
-    position are cycled over c, so a position whose increments do not depend
-    on c (rows[0], every Helberg position) has one row.  The head and tail
-    prefix sums are expanded separately (prefix j ends in letter j % q), the
-    tail once per row of its first position.  Each word's residue is
-    (head + tail) % m, so O(q^ceil(n/2)) sums are held at once with one row
-    per position, O(q^(ceil(n/2) + 1)) with q (VT), never q^n.
-    """
-    cut = len(rows) // 2
-    tails = [[t % m for t in _prefix_sums(first, rows[cut + 1 :])] for first in rows[cut]]
-    return chain.from_iterable(
-        [(h + t) % m for t in tail]
-        for h, tail in zip(_prefix_sums([0], rows[:cut]), cycle(tails))
-    )
-
-
 def _guard_space(n: int, q: int, s: int, limit: int, smap: SymbolMap | None = None) -> None:
     """Refuse a map that cannot pair Z_q^n with bits, then what ``guard_word_space`` refuses."""
     if smap is not None:
@@ -150,6 +131,44 @@ def _guard_space(n: int, q: int, s: int, limit: int, smap: SymbolMap | None = No
         if q == 2 and n % 2:
             raise ValueError("binary length must be even to invert the map")
     guard_word_space(n, q, s, limit)
+
+
+def _walk(
+    m: int,
+    heads: Iterable[tuple[int, int, Word]],
+    tables: Sequence[tuple[Sequence[int], Sequence[Word]]],
+    ranges: Sequence[range],
+) -> dict[int, list[Word]]:
+    """The classes of Z_m whose residues lie in ``ranges``, each word a head and a tail.
+
+    This is the two-list split of Horowitz and Sahni (1974).  A head is (h,
+    t, word): its residue h, the index t of its table, and its word.  A table
+    is its tails' residues and words, sorted by (residue, word); head h with a
+    tail of residue r lies in class (h + r) mod m.
+
+    ``ranges`` are disjoint ranges of at most m consecutive residues, each
+    member taken mod m, so range(m - 1, m + 1) is m - 1 and 0.  The tails that
+    put head h in a range of L residues from r are the L residues from
+    (r - h) mod m on, found by two bisects (in two slices when they wrap past
+    m - 1).  Heads come in lexicographic order, so no class is sorted
+    afterwards, and no word outside ``ranges`` is built.  The classes come
+    out range by range, in range order within each, empty ones left out.
+    """
+    buckets: list[list[list[Word]]] = [[[] for _ in span] for span in ranges]
+    for h, t, head in heads:
+        residues, tails = tables[t]
+        for span, into in zip(ranges, buckets):
+            lo = (span.start - h) % m
+            hi = lo + len(span)
+            i = bisect_left(residues, lo)
+            if hi <= m:
+                cuts = [(i, bisect_left(residues, hi), -lo)]
+            else:
+                cuts = [(i, len(tails), -lo), (0, bisect_left(residues, hi - m), m - lo)]
+            for i, j, shift in cuts:
+                for r, tail in zip(residues[i:j], tails[i:j]):
+                    into[r + shift].append(head + tail)
+    return {a % m: ws for span, into in zip(ranges, buckets) for a, ws in zip(span, into) if ws}
 
 
 def _helberg_walk(
@@ -162,26 +181,15 @@ def _helberg_walk(
 ) -> tuple[int, dict[int, list[Word]]]:
     """The modulus m, and the classes of H(n, q, s, .) whose residues lie in ``ranges``.
 
-    ``ranges`` are disjoint ranges of at most m consecutive residues, each
-    member taken mod m, so range(m - 1, m + 1) is m - 1 and 0; None is all of
-    Z_m.  The classes come out range by range, in range order within each,
-    empty ones left out, each class's words in lexicographic order.
-
-    Symbol x at position i adds x * v_i.  With ``smap`` the words are those
-    the map pairs with Z_q^n:
+    ``ranges`` go to ``_walk``; None is all of Z_m.  Symbol x at position i
+    adds x * v_i.  With ``smap`` the words are those the map pairs with Z_q^n:
     - q = 4: the binary images, from Z_2^(2n), where the bit pair at letter
       i adds smap.inverse[pair] * v_i;
     - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
       position i adds b1 * v_(2i-1) + b2 * v_(2i) for (b1, b2) = smap(x).
 
-    The positions split into a head and a tail (Horowitz and Sahni, 1974),
-    whose sums are expanded separately, as ``_residue_stream`` does; the
-    tails are sorted by (residue, word).  Head h with tail t lies in class
-    (h + t) mod m, so the tails that put head h in a range of L residues
-    from r are the L residues from (r - h) mod m on, found by two bisects
-    (in two slices when they wrap past m - 1).  Heads go in lexicographic
-    order, and the tails of one residue too, so no class is sorted
-    afterwards, and no word outside ``ranges`` is built.
+    A position adds the same whatever precedes it, so every head, the first
+    half of the positions, reads one table: the tails keyed by moment mod m.
     """
     _guard_space(n, q, s, limit, smap)
     w = weight_sequence(n, q, s)
@@ -199,31 +207,11 @@ def _helberg_walk(
         alphabet, width = 4, 1
     rows = [[step] for step in steps]
     cut = len(rows) // 2
-    sums = [t % m for t in _prefix_sums([0], rows[cut:])]
-    order = sorted(range(len(sums)), key=sums.__getitem__)
-    residues = [sums[i] for i in order]
-    words = list(iter_words(width * (len(rows) - cut), alphabet, limit))
-    tails = [words[i] for i in order]
-    heads = [
-        (h % m, head)
-        for h, head in zip(_prefix_sums([0], rows[:cut]), iter_words(width * cut, alphabet, limit))
-    ]
-    ranges = [range(m)] if ranges is None else list(ranges)
-    buckets: list[list[list[Word]]] = [[[] for _ in span] for span in ranges]
-    for h, head in heads:
-        for span, into in zip(ranges, buckets):
-            lo = (span.start - h) % m
-            hi = lo + len(span)
-            i = bisect_left(residues, lo)
-            if hi <= m:
-                cuts = [(i, bisect_left(residues, hi), -lo)]
-            else:
-                cuts = [(i, len(tails), -lo), (0, bisect_left(residues, hi - m), m - lo)]
-            for i, j, shift in cuts:
-                found = map(into.__getitem__, map(shift.__add__, residues[i:j]))
-                for bucket, word in zip(found, map(head.__add__, tails[i:j])):
-                    bucket.append(word)
-    return m, {a % m: ws for span, into in zip(ranges, buckets) for a, ws in zip(span, into) if ws}
+    tails = list(iter_words(width * (len(rows) - cut), alphabet, limit))
+    table = tuple(zip(*sorted(zip([t % m for t in _prefix_sums([0], rows[cut:])], tails))))
+    heads = zip(_prefix_sums([0], rows[:cut]), iter_words(width * cut, alphabet, limit))
+    heads = ((h % m, 0, word) for h, word in heads)
+    return m, _walk(m, heads, [table], [range(m)] if ranges is None else list(ranges))
 
 
 def helberg_code(

@@ -411,21 +411,21 @@ def phi9_image_classes(
     """phi9 images of classes of H(n, 4, 1, .) and their residues in H(2n, 2, 2, .).
 
     ``residues`` picks the quaternary classes, each checked against Z_m
-    before the scan; None picks every class of maximum cardinality.  Each
-    picked residue a maps to a pair: the (codeword, image) pairs of
-    H(n, 4, 1, a) in class order, and the residues of the images in
-    H(2n, 2, 2, .).  When those residues are the single a', every image lies
-    in H(2n, 2, 2, a') by the definition of the class.  Only Z_4^n is walked,
-    and only the picked classes are built when ``residues`` is given.
+    before the walk; None picks every class of maximum cardinality, as
+    ``helberg_census`` counts them.  Each picked residue a maps to a pair: the
+    (codeword, image) pairs of H(n, 4, 1, a) in class order, and the residues
+    of the images in H(2n, 2, 2, .).  When those residues are the single a',
+    every image lies in H(2n, 2, 2, a') by the definition of the class.  Only
+    the picked classes of Z_4^n are built.
     """
-    for a in residues or ():
+    if residues is None:
+        counts = helberg_census(n, 4, 1, limit)
+        top = max(counts)
+        residues = [a for a, k in enumerate(counts) if k == top]
+    for a in residues:
         guard_word_space(n, 4, 1, limit, a)
     smap = naisargik_map("phi9")
-    ranges = None if residues is None else [range(a, a + 1) for a in residues]
-    _, classes4 = helberg_classes(n, 4, 1, limit, None, ranges)
-    if residues is None:
-        top = max(len(ws) for ws in classes4.values())
-        residues = [a for a, ws in classes4.items() if len(ws) == top]
+    _, classes4 = helberg_classes(n, 4, 1, limit, None, [range(a, a + 1) for a in residues])
     w2 = weight_sequence(2 * n, 2, 2)
     out = {}
     for a in residues:

@@ -13,11 +13,10 @@ every residue formula, 0-based only inside loops.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import chain, combinations, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .helberg import _residue_stream, helberg_code
+from .helberg import _prefix_sums, _walk, helberg_code
 from .maps import SymbolMap
 from .spheres import DEFAULT_SPHERE_CAP, _shared_members, sphere_collisions
 from .words import (
@@ -84,35 +83,48 @@ def guard_vt_space(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
         raise ValueError("residues need length >= 1")
 
 
-def _vt_stream(
-    n: int, q: int, limit: int, smap: SymbolMap | None = None
-) -> Iterator[tuple[Word, int]]:
-    """Every word of Z_q^n with its key a * q + b, (a, b) its residue pair.
+def _vt_walk(
+    n: int, q: int, limit: int, smap: SymbolMap | None, span: range
+) -> dict[int, list[Word]]:
+    """The classes of Z_q^n whose keys a * q + b lie in ``span``, (a, b) the residue pair.
 
     Letter y at 1-based position i + 1 adds its symbol to the sum B, and i to
-    the signature checksum A when the letter c before it has c <= y.  It adds
-    B + A * step, with step above any symbol sum, so the residue mod n * step
-    of ``_residue_stream`` is (A mod n) * step + B, and a table maps it to its
-    key.  No word is scored on its own.
+    the signature checksum A when the letter c before it has c <= y; a
+    prefix's sums are packed as A * step + B, with step above any symbol sum.
+    ``helberg._walk`` runs over Z_(n*q), the head being the first ceil(n/2)
+    letters.  A head with sums A_h, B_h that ends in letter c reads table
+    (c, B_h mod q): its tails start from the row of c and are keyed
+    (A_t mod n) * q + (B_t + B_h) mod q, so the head adds only (A_h mod n) * q.
 
-    Position 1 has one row, as no letter precedes it.  With ``smap`` (q = 4
-    only) the words are those of Z_2^(2n), each bit pair p standing for the
-    symbol smap.inverse[p]: an image is keyed by its preimage.
+    With ``smap`` (q = 4 only) the words are those of Z_2^(2n), each bit pair
+    p standing for the symbol smap.inverse[p]: an image is keyed by its
+    preimage.
     """
     if smap is not None and q != 4:
         raise ValueError(f"a symbol map pairs Z_4 with Z_2^2; got q = {q}")
     guard_vt_space(n, q, limit)
     if smap is None:
         symbols: Sequence[int] = range(q)
-        words = iter_words(n, q, limit)
+        alphabet, width = q, 1
     else:
         symbols = smap.inverse
-        words = iter_words(2 * n, 2, limit)
+        alphabet, width = 2, 2
     step = (q - 1) * n + 1
     rows = [[list(symbols)]]
     rows += ([[y + i * step * (c <= y) for y in symbols] for c in symbols] for i in range(1, n))
-    key_of = [a * q + b % q for a in range(n) for b in range(step)]
-    return zip(words, map(key_of.__getitem__, _residue_stream(rows, n * step)))
+    cut = (n + 1) // 2
+    tails = list(iter_words(width * (n - cut), alphabet, limit))
+    size = len(tails)
+    # Start c of [0] * q ends in letter c, so run c holds the tails after c.
+    sums = _prefix_sums([0] * q, rows[cut:])
+    tables = [
+        tuple(zip(*sorted(zip([t // step % n * q + (t % step + b) % q for t in run], tails))))
+        for run in (sums[c * size : (c + 1) * size] for c in range(q))
+        for b in range(q)
+    ]
+    heads = zip(_prefix_sums([0], rows[:cut]), iter_words(width * cut, alphabet, limit))
+    heads = ((h // step % n * q, j % q * q + h % step % q, w) for j, (h, w) in enumerate(heads))
+    return _walk(n * q, heads, tables, [span])
 
 
 def qary_vt_classes(
@@ -120,20 +132,18 @@ def qary_vt_classes(
 ) -> dict[tuple[int, int], tuple[Word, ...]]:
     """Bucket all of Z_q^n by residue pair; words sorted within each class.
 
-    The pairs come from ``_vt_stream``.  With ``smap`` (q = 4 only) each class
-    holds the binary images of its words, as ``helberg_classes(..., smap)``
-    does, and no word is mapped on its own.
+    The classes come from ``_vt_walk`` over every key.  With ``smap`` (q = 4
+    only) each class holds the binary images of its words, as
+    ``helberg_classes(..., smap)`` does, and no word is mapped on its own.
     """
-    buckets: defaultdict[int, list[Word]] = defaultdict(list)
-    for w, key in _vt_stream(n, q, limit, smap):
-        buckets[key].append(w)
-    return {divmod(key, q): tuple(buckets[key]) for key in sorted(buckets)}
+    classes = _vt_walk(n, q, limit, smap, range(n * q))
+    return {divmod(key, q): tuple(ws) for key, ws in classes.items()}
 
 
 def qary_vt_code(
     n: int, q: int, a: int, b: int, limit: int = DEFAULT_MAX_ENUM
 ) -> frozenset[Word]:
-    """All length-n words over Z_q with residue pair (a, b), read from ``_vt_stream``."""
+    """All length-n words over Z_q with residue pair (a, b): ``_vt_walk`` on its key alone."""
     if n < 1:
         raise ValueError("codeword length must be >= 1")
     if q < 2:
@@ -143,7 +153,7 @@ def qary_vt_code(
     if not 0 <= b < q:
         raise ValueError(f"residue {b} not in Z_{q}")
     key = a * q + b
-    return frozenset(w for w, k in _vt_stream(n, q, limit) if k == key)
+    return frozenset(_vt_walk(n, q, limit, None, range(key, key + 1)).get(key, ()))
 
 
 def qary_vt_census(

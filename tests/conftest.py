@@ -17,7 +17,7 @@ from naisargik import (
     weight_sequence,
 )
 from naisargik import verify as verify_mod
-from naisargik.helberg import _residue_stream
+from naisargik.helberg import _prefix_sums
 
 
 def sphere_by_index_subsets(word, s):
@@ -159,9 +159,28 @@ def helberg_classes_by_moment(n, q, s, smap=None):
     return w.modulus, {a: tuple(ws) for a, ws in sorted(buckets.items())}
 
 
+def _residue_stream(rows, m):
+    """(sum over p of rows[p][x_(p-1)][x_p]) mod m for every word x, in
+    lexicographic order: the per-word residue stream the class walks replaced.
+
+    Letter y at position p adds rows[p][c][y] after letter c.  The rows of a
+    position are cycled over c, so a position whose increments do not depend
+    on c (rows[0], every Helberg position) has one row.  The head and tail
+    prefix sums are expanded separately (prefix j ends in letter j % q), the
+    tail once per row of its first position, and each word's residue is
+    (head + tail) % m.
+    """
+    cut = len(rows) // 2
+    tails = [[t % m for t in _prefix_sums(first, rows[cut + 1 :])] for first in rows[cut]]
+    return itertools.chain.from_iterable(
+        [(h + t) % m for t in tail]
+        for h, tail in zip(_prefix_sums([0], rows[:cut]), itertools.cycle(tails))
+    )
+
+
 def helberg_stream_classes(n, q, s, smap=None):
     """Stream oracle for ``helberg._helberg_walk``: every word of the space
-    zipped with its residue from ``helberg._residue_stream``, bucketed, the
+    zipped with its residue from ``_residue_stream``, bucketed, the
     classes in ascending residue order.
 
     This is the class builder the walk replaced.  Symbol x at position i adds

@@ -26,9 +26,10 @@ from naisargik import (
     verify_coefficient_lemma,
     weight_sequence,
 )
-from naisargik.helberg import _helberg_walk, _residue_stream
+from naisargik.helberg import _helberg_walk
 from naisargik.words import DEFAULT_MAX_ENUM
 from conftest import (
+    _residue_stream,
     enumerated_census,
     grids_beyond_oracle,
     helberg_classes_by_moment,

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naisargik import (
@@ -106,6 +106,40 @@ def test_qary_classes_equal_the_per_word_scan(n, q):
 def test_qary_classes_through_every_map_equal_the_mapped_scan(n):
     for smap in all_bijections():
         assert qary_vt_classes(n, 4, smap=smap) == qary_vt_classes_by_residues(n, 4, smap)
+
+
+PHI8, PHI9 = naisargik_map("phi8"), naisargik_map("phi9")
+
+
+@st.composite
+def vt_walk_points(draw):
+    """(n, q, smap, keys): n 1-6, q 2-5, no map or (at q = 4 only) phi8 or
+    phi9, and a random set of residue pairs (a, b)."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    smap = draw(st.sampled_from([None, PHI8, PHI9])) if q == 4 else None
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, q - 1)), max_size=4))
+    return n, q, smap, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(vt_walk_points())
+@example((1, 3, None, {(0, 0), (0, 2)}))  # one letter: the head is the word, the tail empty
+@example((1, 4, PHI9, {(0, 1)}))
+@example((6, 4, PHI8, {(2, 0), (5, 3)}))  # gcd(n, q) = 2
+@example((6, 3, None, {(0, 0), (3, 1)}))  # gcd(n, q) = 3
+@example((4, 4, PHI9, {(0, 0), (3, 3)}))  # gcd(n, q) = 4
+@example((5, 5, None, {(4, 4)}))  # gcd(n, q) = 5
+def test_vt_walk_equals_the_per_word_oracle(point):
+    # The walk keys a head by (A_h mod n) * q and its tail table by the last
+    # head letter and B_h mod q, with no CRT step, so n and q may share factors.
+    n, q, smap, keys = point
+    got = qary_vt_classes(n, q, smap=smap)
+    expected = qary_vt_classes_by_residues(n, q, smap)
+    assert got == expected
+    assert list(got) == list(expected)
+    for a, b in keys:
+        assert qary_vt_code(n, q, a, b) == qary_vt_code_by_residues(n, q, a, b)
 
 
 def test_qary_classes_map_only_quaternary_words():
