@@ -170,7 +170,7 @@ def _call(what: str, signature: inspect.Signature, entry: Callable, flags: dict,
 
 
 #: Codebook generators by ``gen`` kind; each signature states its flags.
-GENERATORS: dict[str, Callable[..., frozenset]] = {
+GENERATORS: dict[str, Callable[..., tuple]] = {
     "vt-binary": lambda n, a, *, limit: binary_vt_code(n, a, limit),
     "vt-qary": lambda n, a, b, q=4, *, limit: qary_vt_code(n, q, a, b, limit),
     "helberg": lambda n, s, a, q=4, *, limit: helberg_code(n, q, s, a, limit),
@@ -181,7 +181,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     flags = _flags(args, "kind")
     entry = GENERATORS[args.kind]
     code = _call(f"gen {args.kind}", inspect.signature(entry), entry, flags, limit=args.max_enum)
-    words = sorted(format_word(w) for w in code)
+    words = list(map(format_word, code))
     _emit_words(words, args.format, {"command": "gen", "kind": args.kind, **flags})
     return 0
 

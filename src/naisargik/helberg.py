@@ -138,7 +138,7 @@ def _walk(
     heads: Iterable[tuple[int, int, Word]],
     tables: Sequence[tuple[Sequence[int], Sequence[Word]]],
     ranges: Sequence[range],
-) -> dict[int, list[Word]]:
+) -> dict[int, tuple[Word, ...]]:
     """The classes of Z_m whose residues lie in ``ranges``, each word a head and a tail.
 
     This is the two-list split of Horowitz and Sahni (1974).  A head is (h,
@@ -152,7 +152,8 @@ def _walk(
     (r - h) mod m on, found by two bisects (in two slices when they wrap past
     m - 1).  Heads come in lexicographic order, so no class is sorted
     afterwards, and no word outside ``ranges`` is built.  The classes come
-    out range by range, in range order within each, empty ones left out.
+    out range by range, in range order within each, empty ones left out, each
+    a strictly ascending tuple.
     """
     buckets: list[list[list[Word]]] = [[[] for _ in span] for span in ranges]
     for h, t, head in heads:
@@ -168,21 +169,30 @@ def _walk(
             for i, j, shift in cuts:
                 for r, tail in zip(residues[i:j], tails[i:j]):
                     into[r + shift].append(head + tail)
-    return {a % m: ws for span, into in zip(ranges, buckets) for a, ws in zip(span, into) if ws}
+    classes = {}
+    for span, into in zip(ranges, buckets):
+        for a, ws in zip(span, into):
+            if ws:
+                # Class by class, so no more than one class is held twice.
+                classes[a % m] = tuple(ws)
+                ws.clear()
+    return classes
 
 
-def _helberg_walk(
+def helberg_classes(
     n: int,
     q: int,
     s: int,
-    limit: int,
+    limit: int = DEFAULT_MAX_ENUM,
     smap: SymbolMap | None = None,
     ranges: Sequence[range] | None = None,
-) -> tuple[int, dict[int, list[Word]]]:
+) -> tuple[int, dict[int, tuple[Word, ...]]]:
     """The modulus m, and the classes of H(n, q, s, .) whose residues lie in ``ranges``.
 
-    ``ranges`` go to ``_walk``; None is all of Z_m.  Symbol x at position i
-    adds x * v_i.  With ``smap`` the words are those the map pairs with Z_q^n:
+    ``ranges`` go to ``_walk``; None is all of Z_m.  Residues with no codeword
+    are absent, each class is a strictly ascending tuple, and no word's moment
+    is evaluated on its own.  Symbol x at position i adds x * v_i.  With
+    ``smap`` the class of a holds the words the map pairs with H(n, q, s, a):
     - q = 4: the binary images, from Z_2^(2n), where the bit pair at letter
       i adds smap.inverse[pair] * v_i;
     - q = 2: the quaternary preimages, from Z_4^(n/2), where symbol x at
@@ -216,32 +226,10 @@ def _helberg_walk(
 
 def helberg_code(
     n: int, q: int, s: int, a: int, limit: int = DEFAULT_MAX_ENUM
-) -> frozenset[Word]:
-    """All length-n words whose moment is congruent to a mod m: ``_helberg_walk`` on a alone."""
+) -> tuple[Word, ...]:
+    """All length-n words whose moment is congruent to a mod m: ``helberg_classes`` on a alone."""
     guard_word_space(n, q, s, limit, a)
-    return frozenset(_helberg_walk(n, q, s, limit, ranges=[range(a, a + 1)])[1].get(a, ()))
-
-
-def helberg_classes(
-    n: int,
-    q: int,
-    s: int,
-    limit: int = DEFAULT_MAX_ENUM,
-    smap: SymbolMap | None = None,
-    ranges: Sequence[range] | None = None,
-) -> tuple[int, dict[int, tuple[Word, ...]]]:
-    """Z_q^n by moment residue: ``_helberg_walk`` over ``ranges``, None for all of Z_m.
-
-    Returns (m, classes); residues with no codeword are absent from the
-    mapping.  Words are sorted within each class, and no word's moment is
-    evaluated on its own; with ``smap`` each class holds the words the map
-    pairs with H(n, q, s, a).
-    """
-    m, classes = _helberg_walk(n, q, s, limit, smap, ranges)
-    # Class by class, so no more than one class is held twice.
-    for a, ws in classes.items():
-        classes[a] = tuple(ws)
-    return m, classes
+    return helberg_classes(n, q, s, limit, ranges=[range(a, a + 1)])[1].get(a, ())
 
 
 def helberg_census(n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM) -> list[int]:
@@ -311,20 +299,20 @@ def upper_bound_exponent(n: int, q: int, s: int) -> int:
     return n * (q.bit_length() - 1) - s * ((q - 1).bit_length() + n.bit_length())
 
 
-def reduction_code(code: frozenset[Word] | set[Word]) -> frozenset[Word]:
-    """Componentwise mod-2 image of a quaternary code, deduplicated."""
+def reduction_code(code: Iterable[Word]) -> tuple[Word, ...]:
+    """Componentwise mod-2 image of a quaternary code, deduplicated and sorted."""
     out = set()
     for word in code:
         check_symbols(word, 4)
         out.add(tuple(sym % 2 for sym in word))
-    return frozenset(out)
+    return tuple(sorted(out))
 
 
-def torsion_code(code: frozenset[Word] | set[Word]) -> frozenset[Word]:
-    """Binary words y such that 2y (componentwise, in Z_4) lies in the code."""
+def torsion_code(code: Iterable[Word]) -> tuple[Word, ...]:
+    """Binary words y such that 2y (componentwise, in Z_4) lies in the code, sorted."""
     out = set()
     for word in code:
         check_symbols(word, 4)
         if all(sym % 2 == 0 for sym in word):
             out.add(tuple(sym // 2 for sym in word))
-    return frozenset(out)
+    return tuple(sorted(out))

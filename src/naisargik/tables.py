@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 from .helberg import (
     cardinality_lower_bound,
     cardinality_upper_bound,
+    guard_word_space,
     helberg_census,
+    helberg_classes,
     helberg_code,
     upper_bound_exponent,
 )
@@ -55,7 +57,7 @@ def _sphere_cell(word, s: int) -> str:
 def table2(n: int = 4, a: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """Quaternary VT codebook (a, 2) beside its phi8 images."""
     smap = naisargik_map("phi8")
-    words = sorted(qary_vt_code(n, 4, a, 2, limit))
+    words = qary_vt_code(n, 4, a, 2, limit)
     rows = tuple((format_word(w), format_word(smap.apply(w))) for w in words)
     return Table("table2", ("codeword", "image"), rows)
 
@@ -156,7 +158,7 @@ def table9(
     if a is None:
         counts = helberg_census(n, 2, s, limit)
         a = counts.index(max(counts))
-    code = sorted(helberg_code(n, 2, s, a, limit))
+    code = helberg_code(n, 2, s, a, limit)
     rows = tuple((format_word(w), format_word(smap.invert(w))) for w in code)
     return Table("table9", ("codeword", "image"), rows)
 
@@ -190,7 +192,7 @@ def table12(n: int = 4, s: int = 1, a: int = 13, limit: int = DEFAULT_MAX_ENUM) 
     does not match its own mapping table, hence the note column.
     """
     smap = naisargik_map("phi9")
-    images = map(smap.apply, sorted(helberg_code(n, 4, s, a, limit)))
+    images = map(smap.apply, helberg_code(n, 4, s, a, limit))
     rows = tuple((format_word(x), _sphere_cell(x, s + 1), "recomputed") for x in images)
     return Table("table12", ("codeword", "sphere", "note"), rows)
 
@@ -204,17 +206,16 @@ def table13(
     """
     if n % 2:
         raise ValueError("binary length must be even to invert the map")
-    smap = naisargik_map("phi9")
-    code = helberg_code(n, 2, s, a, limit)
-    inverse = sorted(smap.invert(w) for w in code)
-    rows = tuple((format_word(w), _sphere_cell(w, 1)) for w in inverse)
+    guard_word_space(n, 2, s, limit, a)
+    _, preimages = helberg_classes(n, 2, s, limit, naisargik_map("phi9"), [range(a, a + 1)])
+    rows = tuple((format_word(w), _sphere_cell(w, 1)) for w in preimages.get(a, ()))
     return Table("table13", ("codeword", "sphere"), rows)
 
 
 def table14(n: int = 4, a: int = 1, limit: int = DEFAULT_MAX_ENUM) -> Table:
     """1-deletion spheres of the phi8 images of one quaternary VT codebook (a, 2)."""
     smap = naisargik_map("phi8")
-    images = map(smap.apply, sorted(qary_vt_code(n, 4, a, 2, limit)))
+    images = map(smap.apply, qary_vt_code(n, 4, a, 2, limit))
     rows = tuple((format_word(x), _sphere_cell(x, 1)) for x in images)
     return Table("table14", ("codeword", "sphere"), rows)
 

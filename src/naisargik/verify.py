@@ -114,7 +114,7 @@ def _correction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCel
 
 
 def _reduction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCell]:
-    reduced = [reduction_code(frozenset(ws)) for _, ws in inputs]
+    reduced = [reduction_code(ws) for _, ws in inputs]
     return [
         CampaignCell(
             label,
@@ -128,7 +128,7 @@ def _reduction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCell
 def _torsion_batch(_: None, inputs: Sequence[tuple]) -> list[CampaignCell]:
     cells = []
     for label, codewords in inputs:
-        tor = torsion_code(frozenset(codewords))
+        tor = torsion_code(codewords)
         cells.append(
             CampaignCell(
                 label=label,
@@ -136,7 +136,7 @@ def _torsion_batch(_: None, inputs: Sequence[tuple]) -> list[CampaignCell]:
                 detail={
                     "codewords": len(codewords),
                     "torsion_size": len(tor),
-                    "torsion": sorted(format_word(w) for w in tor),
+                    "torsion": list(map(format_word, tor)),
                 },
             )
         )

@@ -38,7 +38,7 @@ def binary_vt_residue(word: Word) -> int:
 
 def binary_vt_code(
     n: int, a: int, limit: int = DEFAULT_MAX_ENUM
-) -> frozenset[Word]:
+) -> tuple[Word, ...]:
     """All binary words of length n with checksum a.
 
     This is the Helberg code H(n, 2, 1, a): its weights are 1..n and its
@@ -85,7 +85,7 @@ def guard_vt_space(n: int, q: int, limit: int = DEFAULT_MAX_ENUM) -> None:
 
 def _vt_walk(
     n: int, q: int, limit: int, smap: SymbolMap | None, span: range
-) -> dict[int, list[Word]]:
+) -> dict[int, tuple[Word, ...]]:
     """The classes of Z_q^n whose keys a * q + b lie in ``span``, (a, b) the residue pair.
 
     Letter y at 1-based position i + 1 adds its symbol to the sum B, and i to
@@ -130,19 +130,19 @@ def _vt_walk(
 def qary_vt_classes(
     n: int, q: int, limit: int = DEFAULT_MAX_ENUM, smap: SymbolMap | None = None
 ) -> dict[tuple[int, int], tuple[Word, ...]]:
-    """Bucket all of Z_q^n by residue pair; words sorted within each class.
+    """Bucket all of Z_q^n by residue pair, each class a strictly ascending tuple.
 
     The classes come from ``_vt_walk`` over every key.  With ``smap`` (q = 4
     only) each class holds the binary images of its words, as
     ``helberg_classes(..., smap)`` does, and no word is mapped on its own.
     """
     classes = _vt_walk(n, q, limit, smap, range(n * q))
-    return {divmod(key, q): tuple(ws) for key, ws in classes.items()}
+    return {divmod(key, q): ws for key, ws in classes.items()}
 
 
 def qary_vt_code(
     n: int, q: int, a: int, b: int, limit: int = DEFAULT_MAX_ENUM
-) -> frozenset[Word]:
+) -> tuple[Word, ...]:
     """All length-n words over Z_q with residue pair (a, b): ``_vt_walk`` on its key alone."""
     if n < 1:
         raise ValueError("codeword length must be >= 1")
@@ -153,7 +153,7 @@ def qary_vt_code(
     if not 0 <= b < q:
         raise ValueError(f"residue {b} not in Z_{q}")
     key = a * q + b
-    return frozenset(_vt_walk(n, q, limit, None, range(key, key + 1)).get(key, ()))
+    return _vt_walk(n, q, limit, None, range(key, key + 1)).get(key, ())
 
 
 def qary_vt_census(

@@ -179,7 +179,7 @@ def _residue_stream(rows, m):
 
 
 def helberg_stream_classes(n, q, s, smap=None):
-    """Stream oracle for ``helberg._helberg_walk``: every word of the space
+    """Stream oracle for ``helberg.helberg_classes``: every word of the space
     zipped with its residue from ``_residue_stream``, bucketed, the
     classes in ascending residue order.
 
@@ -221,13 +221,15 @@ def qary_vt_classes_by_residues(n, q, smap=None):
 
 
 def binary_vt_code_by_checksum(n, a):
-    """Per-word oracle for ``binary_vt_code``: the words of Z_2^n with checksum a."""
-    return frozenset(w for w in all_words(n, 2) if binary_vt_residue(w) == a)
+    """Per-word oracle for ``binary_vt_code``: the words of Z_2^n with checksum a,
+    in scan order, which is lexicographic."""
+    return tuple(w for w in all_words(n, 2) if binary_vt_residue(w) == a)
 
 
 def qary_vt_code_by_residues(n, q, a, b):
-    """Per-word oracle for ``qary_vt_code``: the words of Z_q^n with residues (a, b)."""
-    return frozenset(w for w in all_words(n, q) if qary_vt_residues(w, q) == (a, b))
+    """Per-word oracle for ``qary_vt_code``: the words of Z_q^n with residues (a, b),
+    in scan order, which is lexicographic."""
+    return tuple(w for w in all_words(n, q) if qary_vt_residues(w, q) == (a, b))
 
 
 @contextlib.contextmanager

@@ -312,7 +312,7 @@ def test_owners_are_replayed_only_for_classes_that_collide(monkeypatch):
     # Binary VT classes correct one deletion: their members are all distinct,
     # so each class is peeled once and no owner is built.
     for a in range(11):
-        assert sphere_collisions(sorted(binary_vt_code(10, a)), 1) == {}
+        assert sphere_collisions(binary_vt_code(10, a), 1) == {}
     sphere_members((0, 1, 1, 0), 2)
     assert len(calls["_peel"]) == 12 and not calls["_owners"]
     # Z_2^6 collides at s = 1.  A cap of 32 takes chunks of 32 // 6 = 5 words:
