@@ -186,10 +186,11 @@ def helberg_classes(
     limit: int = DEFAULT_MAX_ENUM,
     smap: SymbolMap | None = None,
     ranges: Sequence[range] | None = None,
-) -> tuple[int, dict[int, tuple[Word, ...]]]:
-    """The modulus m, and the classes of H(n, q, s, .) whose residues lie in ``ranges``.
+) -> dict[int, tuple[Word, ...]]:
+    """The classes of H(n, q, s, .) whose residues lie in ``ranges``.
 
-    ``ranges`` go to ``_walk``; None is all of Z_m.  Residues with no codeword
+    ``ranges`` go to ``_walk``; None is all of Z_m, m = v_{n+1} (the
+    ``modulus`` of ``weight_sequence(n, q, s)``).  Residues with no codeword
     are absent, each class is a strictly ascending tuple, and no word's moment
     is evaluated on its own.  Symbol x at position i adds x * v_i.  With
     ``smap`` the class of a holds the words the map pairs with H(n, q, s, a):
@@ -221,7 +222,7 @@ def helberg_classes(
     table = tuple(zip(*sorted(zip([t % m for t in _prefix_sums([0], rows[cut:])], tails))))
     heads = zip(_prefix_sums([0], rows[:cut]), iter_words(width * cut, alphabet, limit))
     heads = ((h % m, 0, word) for h, word in heads)
-    return m, _walk(m, heads, [table], [range(m)] if ranges is None else list(ranges))
+    return _walk(m, heads, [table], [range(m)] if ranges is None else list(ranges))
 
 
 def helberg_code(
@@ -229,7 +230,7 @@ def helberg_code(
 ) -> tuple[Word, ...]:
     """All length-n words whose moment is congruent to a mod m: ``helberg_classes`` on a alone."""
     guard_word_space(n, q, s, limit, a)
-    return helberg_classes(n, q, s, limit, ranges=[range(a, a + 1)])[1].get(a, ())
+    return helberg_classes(n, q, s, limit, ranges=[range(a, a + 1)]).get(a, ())
 
 
 def helberg_census(n: int, q: int, s: int, limit: int = DEFAULT_MAX_ENUM) -> list[int]:

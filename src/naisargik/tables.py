@@ -207,7 +207,7 @@ def table13(
     if n % 2:
         raise ValueError("binary length must be even to invert the map")
     guard_word_space(n, 2, s, limit, a)
-    _, preimages = helberg_classes(n, 2, s, limit, naisargik_map("phi9"), [range(a, a + 1)])
+    preimages = helberg_classes(n, 2, s, limit, naisargik_map("phi9"), [range(a, a + 1)])
     rows = tuple((format_word(w), _sphere_cell(w, 1)) for w in preimages.get(a, ()))
     return Table("table13", ("codeword", "sphere"), rows)
 

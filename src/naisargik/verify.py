@@ -5,12 +5,13 @@ family), runs one cell per grid point (mostly an exhaustive sphere check),
 and aggregates verdicts into a CampaignResult that serializes to JSON.  The
 Helberg class campaigns (thm1, thm2, helberg-self, binary vt1, reduction,
 torsion) share one builder, ``_helberg_cells``, and every class campaign one
-runner, ``_run_orbits``.  A cell function takes a list of inputs and returns
-their cells, so one call decides a whole round of a campaign (one
-``check_codebooks`` call for its sphere checks); the cells are independent,
+runner, ``_run_orbits``, the one place a class campaign's cells are made.  A
+batch function takes a list of inputs and returns one (passed, detail)
+verdict per input, so one call decides a whole round of a campaign (one
+``check_codebooks`` call for its sphere checks); the inputs are independent,
 so the runner may instead fan chunks of them out across one pool of worker
-processes and join their cells in residue order, making output identical
-for every worker count.
+processes and join their verdicts in order, making output identical for
+every worker count.  The runner labels each verdict's cell from its item.
 
 Deletion commutes with every symbol permutation and with reversal
 (Levenshtein 1966), so two cells whose inputs such a symmetry carries onto
@@ -32,8 +33,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Hashable, Sequence
 
 from .helberg import (
@@ -59,7 +61,7 @@ class CampaignCell:
 
     label: str
     passed: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 @dataclass(frozen=True)
@@ -105,42 +107,36 @@ def _witness_detail(report: CorrectionReport) -> dict:
     }
 
 
-def _correction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCell]:
-    codebooks = [ws for _, ws in inputs]
+Verdict = tuple[bool, dict]
+
+
+def _correction_batch(check_s: int, inputs: Sequence[Sequence[Word]]) -> list[Verdict]:
     return [
-        CampaignCell(label, report.ok, {"codewords": len(ws), **_witness_detail(report)})
-        for (label, ws), report in zip(inputs, check_codebooks(codebooks, check_s))
+        (report.ok, {"codewords": len(ws), **_witness_detail(report)})
+        for ws, report in zip(inputs, check_codebooks(inputs, check_s))
     ]
 
 
-def _reduction_batch(check_s: int, inputs: Sequence[tuple]) -> list[CampaignCell]:
-    reduced = [reduction_code(ws) for _, ws in inputs]
+def _reduction_batch(check_s: int, inputs: Sequence[Sequence[Word]]) -> list[Verdict]:
+    reduced = [reduction_code(ws) for ws in inputs]
     return [
-        CampaignCell(
-            label,
-            report.ok,
-            {"codewords": len(ws), "reduced": len(red), **_witness_detail(report)},
-        )
-        for (label, ws), red, report in zip(inputs, reduced, check_codebooks(reduced, check_s))
+        (report.ok, {"codewords": len(ws), "reduced": len(red), **_witness_detail(report)})
+        for ws, red, report in zip(inputs, reduced, check_codebooks(reduced, check_s))
     ]
 
 
-def _torsion_batch(_: None, inputs: Sequence[tuple]) -> list[CampaignCell]:
-    cells = []
-    for label, codewords in inputs:
-        tor = torsion_code(codewords)
-        cells.append(
-            CampaignCell(
-                label=label,
-                passed=len(tor) <= 1,
-                detail={
-                    "codewords": len(codewords),
-                    "torsion_size": len(tor),
-                    "torsion": list(map(format_word, tor)),
-                },
-            )
+def _torsion_batch(_: None, inputs: Sequence[Sequence[Word]]) -> list[Verdict]:
+    return [
+        (
+            len(tor) <= 1,
+            {
+                "codewords": len(ws),
+                "torsion_size": len(tor),
+                "torsion": list(map(format_word, tor)),
+            },
         )
-    return cells
+        for ws, tor in zip(inputs, map(torsion_code, inputs))
+    ]
 
 
 def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
@@ -148,51 +144,39 @@ def effective_workers(requested: int, cells: int, cpus: int | None) -> int:
     return min(requested, cells, cpus or 1)
 
 
-def _run_cells(
-    inputs: Sequence[tuple],
-    fn: Callable[[Sequence[tuple]], list[CampaignCell]],
-    pool: ProcessPoolExecutor | None,
-    workers: int,
-) -> list[CampaignCell]:
-    """``fn`` on ``inputs``, which returns one cell per input in their order.
-
-    Without a pool ``fn`` takes every input in one call; with one the inputs
-    go in chunks in order, one call per chunk, about four chunks per worker,
-    and the chunks' cells are joined in that order."""
-    if pool is None:
-        return fn(inputs)
-    size = max(1, len(inputs) // (4 * workers))
-    chunks = [inputs[start : start + size] for start in range(0, len(inputs), size)]
-    return [cell for cells in pool.map(fn, chunks) for cell in cells]
-
-
-def _equal_weight_batch(inputs: Sequence[tuple]) -> list[CampaignCell]:
-    cells = []
+def _equal_weight_batch(inputs: Sequence[tuple[int, str, int]]) -> list[Verdict]:
+    verdicts = []
     for n, name, limit in inputs:
         pairs, bad = equal_weight_scan(n, naisargik_map(name), limit)
         detail: dict = {"intersecting_pairs": pairs}
         if bad is not None:
             detail["witness"] = {"x": format_word(bad[0]), "y": format_word(bad[1])}
-        cells.append(CampaignCell(label=name, passed=bad is None, detail=detail))
-    return cells
+        verdicts.append((bad is None, detail))
+    return verdicts
 
 
 def _run_orbits(
     items: Sequence[tuple[Hashable, str, object]],
-    fn: Callable[[Sequence[tuple]], list[CampaignCell]],
+    fn: Callable[[Sequence], list[Verdict]],
     workers: int,
-    fill: Callable[[list], list[tuple]] | None = None,
+    fill: Callable[[list], list] | None = None,
 ) -> list[CampaignCell]:
     """Cells of ``fn`` on (orbit, label, input) items, in their order, deciding one per orbit.
 
-    Items of one orbit must share ``fn``'s verdict and counts.  The first
-    item of every orbit is decided in one round; a later one takes a passing
-    first cell under its own label.  When the first cell fails, the later
-    ones are decided too, in a second round, so each failing cell reports its
-    own canonical witness.  With ``fill``, a later item's input is a stand-in
-    that ``fill`` turns into the real one, called once on the stand-ins of
-    the second round.  A round of more than one input may take worker
-    processes; the first round that does opens the one pool both rounds share.
+    ``fn`` takes a list of inputs and returns one verdict per input, in their
+    order; each verdict becomes its item's cell, under the item's label, as
+    soon as its round returns it.  Items of one orbit must share ``fn``'s
+    verdict and counts.  The first item of every orbit is decided in one
+    round; a later one takes a passing first cell under its own label.  When
+    the first cell fails, the later ones are decided too, in a second round,
+    so each failing cell reports its own canonical witness.  With ``fill``, a
+    later item's input is a stand-in that ``fill`` turns into the real one,
+    called once on the stand-ins of the second round.
+
+    A round of one worker hands ``fn`` every input in one call.  A round of
+    more than one input may take worker processes instead: its inputs go in
+    order in chunks, about four per worker, one call per chunk.  The first
+    round that does so opens the one pool both rounds share.
     """
     first: dict[Hashable, int] = {}
     heads = [first.setdefault(orbit, i) for i, (orbit, _, _) in enumerate(items)]
@@ -200,13 +184,19 @@ def _run_orbits(
     pool: ProcessPoolExecutor | None = None
     with ExitStack() as stack:
 
-        def run(rows: list[int], inputs: list[tuple]) -> None:
+        def run(rows: list[int], inputs: list) -> None:
             nonlocal pool
             size = effective_workers(workers, len(inputs), os.cpu_count())
-            if pool is None and size > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=size))
-            for i, cell in zip(rows, _run_cells(inputs, fn, pool if size > 1 else None, size)):
-                cells[i] = cell
+            if size > 1:
+                if pool is None:
+                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=size))
+                step = max(1, len(inputs) // (4 * size))
+                chunks = [inputs[start : start + step] for start in range(0, len(inputs), step)]
+                verdicts = chain.from_iterable(pool.map(fn, chunks))
+            else:
+                verdicts = fn(inputs)
+            for i, (passed, detail) in zip(rows, verdicts):
+                cells[i] = CampaignCell(items[i][1], passed, detail)
 
         leaders = list(first.values())
         run(leaders, [items[i][2] for i in leaders])
@@ -284,7 +274,7 @@ def _helberg_cells(
     s: int,
     smap: SymbolMap | None,
     limit: int,
-    batch: Callable[[int | None, Sequence[tuple]], list[CampaignCell]],
+    batch: Callable[[int | None, Sequence], list[Verdict]],
     check_s: int | None,
     workers: int,
     min_size: int = 2,
@@ -300,45 +290,36 @@ def _helberg_cells(
     here.  ``paired`` campaigns pair class a with (c - a) mod m under
     x -> q - 1 - x (``_complement``).  The leader of each orbit, the smaller
     residue, lies in [0, c/2] or in [c + 1, (c + m)/2], and only those two
-    ranges are built (``helberg_classes`` on those ranges).  Each partner takes
-    its leader's size, and its cell when the leader passes (``_run_orbits``);
-    the partners of failing leaders are built by one walk over the stretch of
-    the mirror ranges [c - c/2, c] and [(c + m)/2, m - 1] between the first
-    and the last of them, and decided in the second round.
+    ranges are built.  A partner takes its leader's size, and one pass over
+    Z_m gives every residue of ``min_size`` or more words its item: a leader
+    its class, a partner its own residue as the stand-in of its class.  A
+    partner takes its leader's cell when the leader passes (``_run_orbits``).
+    The partners of failing leaders lie in [c - c/2, c] and in
+    [(c + m)/2, m - 1], one side of c each; ``fill`` builds them by one walk
+    over the stretch of each side between the first and the last of them, so
+    leaders and partners together cost at most one walk of Z_m.
     """
     _guard_space(n, q, s, limit, smap)
     m, c = _complement(n, q, s)
-    if paired:
-        spans = [(range(c // 2 + 1), c), (range(c + 1, (c + m) // 2 + 1), c + m)]
-    else:
-        spans = [(range(m), None)]
-    _, leaders = helberg_classes(n, q, s, limit, smap, [span for span, _ in spans])
+    spans = [range(c // 2 + 1), range(c + 1, (c + m) // 2 + 1)] if paired else [range(m)]
+    leaders = helberg_classes(n, q, s, limit, smap, spans)
     sizes = [0] * m
-    items: list[tuple[int, str, object]] = []
-    mirrors = []
-    for span, end in spans:
-        own = [a for a in leaders if a in span]
-        for a in own:
-            ws = leaders[a]
-            sizes[a] = len(ws)
-            if len(ws) >= min_size:
-                label = f"a={a}"
-                items.append((a, label, (label, ws)))
-        if end is not None:
-            # Leader a's partner is end - a; the span's partners follow its
-            # leaders, in ascending order, in the span's mirror.
-            mirrors.append(range(end - span.stop + 1, end - span.start + 1))
-            for a in reversed(own):
-                sizes[end - a] = sizes[a]
-                if end - a != a and sizes[a] >= min_size:
-                    items.append((a, f"a={end - a}", end - a))
+    for a, ws in leaders.items():
+        sizes[a] = len(ws)
+        if paired:
+            sizes[(c - a) % m] = len(ws)
+    items = [
+        (a, f"a={a}", leaders[a]) if a in leaders else ((c - a) % m, f"a={a}", a)
+        for a, size in enumerate(sizes)
+        if size >= min_size
+    ]
 
-    def fill(residues: list[int]) -> list[tuple]:
-        # One walk over the stretch of each mirror that holds asked residues.
-        runs = [[a for a in residues if a in mirror] for mirror in mirrors]
-        wanted = [range(min(run), max(run) + 1) for run in runs if run]
-        _, partners = helberg_classes(n, q, s, limit, smap, wanted)
-        return [(f"a={a}", partners[a]) for a in residues]
+    def fill(residues: list[int]) -> list[tuple[Word, ...]]:
+        # The residues come in ascending order.
+        sides = [[a for a in residues if a <= c], [a for a in residues if a > c]]
+        wanted = [range(side[0], side[-1] + 1) for side in sides if side]
+        partners = helberg_classes(n, q, s, limit, smap, wanted)
+        return [partners[a] for a in residues]
 
     return m, sizes, tuple(_run_orbits(items, partial(batch, check_s), workers, fill))
 
@@ -425,7 +406,7 @@ def phi9_image_classes(
     for a in residues:
         guard_word_space(n, 4, 1, limit, a)
     smap = naisargik_map("phi9")
-    _, classes4 = helberg_classes(n, 4, 1, limit, None, [range(a, a + 1) for a in residues])
+    classes4 = helberg_classes(n, 4, 1, limit, None, [range(a, a + 1) for a in residues])
     w2 = weight_sequence(2 * n, 2, 2)
     out = {}
     for a in residues:
@@ -546,10 +527,10 @@ def verify_vt_correction(
         )
     else:
         orbit = _reverse_complement(n, q)
-        items = []
-        for key, ws in qary_vt_classes(n, q, limit).items():
-            label = f"a={key[0]},b={key[1]}"
-            items.append((orbit(key), label, (label, ws)))
+        items = [
+            (orbit(key), f"a={key[0]},b={key[1]}", ws)
+            for key, ws in qary_vt_classes(n, q, limit).items()
+        ]
         cells = tuple(_run_orbits(items, partial(_correction_batch, 1), workers))
     return CampaignResult(
         campaign="vt-correction",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from naisargik import (
+    CampaignCell,
     CorrectionReport,
     binary_vt_residue,
     moment,
@@ -147,7 +148,7 @@ def helberg_classes_by_moment(n, q, s, smap=None):
     """Per-word oracle for ``helberg_classes``: bucket Z_q^n by moment residue.
 
     With ``smap`` each class is mapped word by word, by ``apply`` at q = 4
-    and by ``invert`` at q = 2, and sorted.
+    and by ``invert`` at q = 2, and sorted.  Returns the classes by residue.
     """
     w = weight_sequence(n, q, s)
     buckets = {}
@@ -156,7 +157,7 @@ def helberg_classes_by_moment(n, q, s, smap=None):
     if smap is not None:
         mapped = smap.apply if q == 4 else smap.invert
         buckets = {a: sorted(map(mapped, ws)) for a, ws in buckets.items()}
-    return w.modulus, {a: tuple(ws) for a, ws in sorted(buckets.items())}
+    return {a: tuple(ws) for a, ws in sorted(buckets.items())}
 
 
 def _residue_stream(rows, m):
@@ -188,7 +189,7 @@ def helberg_stream_classes(n, q, s, smap=None):
     q = 4 the binary images, from Z_2^(2n), the bit pair at letter i adding
     smap.inverse[pair] * v_i; at q = 2 the quaternary preimages, from
     Z_4^(n/2), symbol x at position i adding b1 * v_(2i-1) + b2 * v_(2i) for
-    (b1, b2) = smap(x).  Returns (m, classes).
+    (b1, b2) = smap(x).  Returns the classes by residue.
     """
     w = weight_sequence(n, q, s)
     v = w.values[:-1]
@@ -204,7 +205,7 @@ def helberg_stream_classes(n, q, s, smap=None):
     buckets = {}
     for x, a in zip(words, _residue_stream([[step] for step in steps], w.modulus)):
         buckets.setdefault(a, []).append(x)
-    return w.modulus, {a: tuple(buckets[a]) for a in sorted(buckets)}
+    return {a: tuple(buckets[a]) for a in sorted(buckets)}
 
 
 def qary_vt_classes_by_residues(n, q, smap=None):
@@ -240,23 +241,29 @@ def direct_route():
     ``verify._helberg_cells`` is replaced by one that builds every class of
     the space with the stream oracle (``helberg_stream_classes``), takes each
     class's size from its words, and calls the batch function on each class
-    of ``min_size`` or more words as a batch of one.  ``verify._run_orbits``
-    is replaced by a loop that calls the batch function on every input in
-    order, as a batch of one.  So no verdict or size is copied between
-    classes or maps, no class comes from the walk, and no class shares a
-    kernel call.
+    of ``min_size`` or more words as a batch of one, its verdict making the
+    cell of label "a=<residue>".  ``verify._run_orbits`` is replaced by a
+    loop that calls the batch function on every input in order, as a batch
+    of one, its verdict making the cell of the item's label.  So no verdict
+    or size is copied between classes or maps, no class comes from the walk,
+    and no class shares a kernel call.
     """
 
     def each(items, fn, workers):
-        return [cell for _, _, args in items for cell in fn([args])]
+        return [
+            CampaignCell(label, *verdict)
+            for _, label, args in items
+            for verdict in fn([args])
+        ]
 
     def every_class(n, q, s, smap, limit, batch, check_s, workers, min_size=2, paired=True):
-        m, classes = helberg_stream_classes(n, q, s, smap)
+        m = weight_sequence(n, q, s).modulus
+        classes = helberg_stream_classes(n, q, s, smap)
         cells = [
-            cell
+            CampaignCell(f"a={a}", *verdict)
             for a, ws in classes.items()
             if len(ws) >= min_size
-            for cell in batch(check_s, [(f"a={a}", ws)])
+            for verdict in batch(check_s, [ws])
         ]
         return m, [len(classes.get(a, ())) for a in range(m)], tuple(cells)
 

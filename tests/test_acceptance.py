@@ -332,12 +332,12 @@ def test_criterion_11_vt_single_deletion():
 def test_criterion_11_helberg_grids():
     for n in range(1, 7):
         for s in range(1, 4):
-            _, classes = helberg_classes(n, 4, s)
+            classes = helberg_classes(n, 4, s)
             for words in classes.values():
                 assert check_deletion_correcting(words, min(s, n)).ok
     for n in range(1, 13):
         for s in range(1, 5):
-            _, classes = helberg_classes(n, 2, s)
+            classes = helberg_classes(n, 2, s)
             for words in classes.values():
                 assert check_deletion_correcting(words, min(s, n)).ok
     report(11, True, "Helberg codebooks correct their budget on the desk grid")

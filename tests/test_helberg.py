@@ -127,7 +127,7 @@ class TestHelbergCode:
 
     def test_codebooks_correct_their_budget(self):
         for n, q, s in [(5, 4, 2), (5, 4, 3), (6, 4, 1), (10, 2, 2), (8, 2, 3)]:
-            _, classes = helberg_classes(n, q, s)
+            classes = helberg_classes(n, q, s)
             for words in classes.values():
                 assert check_deletion_correcting(words, s).ok
 
@@ -144,9 +144,9 @@ class TestClasses:
             got = helberg_classes(n, q, s)
             expected = helberg_classes_by_moment(n, q, s)
             assert got == expected
-            assert list(got[1]) == list(expected[1])
-            for a in (min(expected[1]), max(expected[1])):
-                assert helberg_code(n, q, s, a) == tuple(sorted(expected[1][a]))
+            assert list(got) == list(expected)
+            for a in (min(expected), max(expected)):
+                assert helberg_code(n, q, s, a) == tuple(sorted(expected[a]))
 
     @pytest.mark.parametrize("n,q,s", [(4, 4, 1), (3, 4, 2), (8, 2, 2), (8, 2, 3)])
     def test_map_classes_equal_the_mapped_scan(self, n, q, s):
@@ -155,7 +155,7 @@ class TestClasses:
             got = helberg_classes(n, q, s, smap=smap)
             expected = helberg_classes_by_moment(n, q, s, smap)
             assert got == expected, smap.name
-            assert list(got[1]) == list(expected[1])
+            assert list(got) == list(expected)
 
     def test_map_needs_an_even_binary_length(self):
         phi9 = naisargik_map("phi9")
@@ -217,7 +217,8 @@ def test_walk_equals_the_stream_oracle_on_any_runs(point, data):
     # Disjoint runs from a random start, with gaps, empty runs, and runs that
     # pass m - 1 and wrap to 0; every shifted run of a head may wrap too.
     n, q, s, smap = point
-    m, classes = helberg_stream_classes(n, q, s, smap)
+    m = weight_sequence(n, q, s).modulus
+    classes = helberg_stream_classes(n, q, s, smap)
     pos = start = data.draw(st.integers(0, m - 1))
     runs = []
     for gap, length in data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)))):
@@ -229,8 +230,8 @@ def test_walk_equals_the_stream_oracle_on_any_runs(point, data):
         pos += length
     expected = _restricted(m, classes, runs)
     walk = helberg_classes(n, q, s, DEFAULT_MAX_ENUM, smap, runs)
-    assert walk == (m, expected)
-    assert list(walk[1]) == list(expected)
+    assert walk == expected
+    assert list(walk) == list(expected)
     if smap is None:
         a = data.draw(st.integers(0, m - 1))
         assert helberg_code(n, q, s, a) == tuple(sorted(classes[a]))
@@ -246,8 +247,9 @@ def test_walk_on_the_runs_a_campaign_takes(n, q, s, smap):
     # self-partner residues c/2 and (c + m)/2 falling in the leader runs; a
     # run of all m residues may start anywhere; an empty run and no runs
     # give no class.
-    m, classes = helberg_stream_classes(n, q, s, smap)
-    c = (q - 1) * sum(weight_sequence(n, q, s).values[:-1]) % m
+    w = weight_sequence(n, q, s)
+    m, classes = w.modulus, helberg_stream_classes(n, q, s, smap)
+    c = (q - 1) * sum(w.values[:-1]) % m
     leaders = [range(c // 2 + 1), range(c + 1, (c + m) // 2 + 1)]
     mirrors = [range(c - c // 2, c + 1), range(c + m - (c + m) // 2, m)]
     selves = [range(t // 2, t // 2 + 1) for t in (c, c + m) if t % 2 == 0]
@@ -256,7 +258,7 @@ def test_walk_on_the_runs_a_campaign_takes(n, q, s, smap):
     everything = [range(m)], [range(m - 1, 2 * m - 1)]
     for runs in (leaders, mirrors, selves, *everything, [range(3, 3)], []):
         walk = helberg_classes(n, q, s, DEFAULT_MAX_ENUM, smap, runs)
-        assert walk == (m, _restricted(m, classes, runs))
+        assert walk == _restricted(m, classes, runs)
 
 
 # Peaks of the per-word builders the residue streams replaced, measured with

@@ -595,7 +595,7 @@ def test_both_routes_report_the_same_witness(code_s):
 
 
 def test_hashing_route_case_largest_class_of_h_10_2_1(monkeypatch):
-    _, classes = helberg_classes(10, 2, 1)
+    classes = helberg_classes(10, 2, 1)
     code = max(classes.values(), key=len)
     assert len(code) == 94
     assert hashed(code, 1, monkeypatch)
@@ -603,7 +603,7 @@ def test_hashing_route_case_largest_class_of_h_10_2_1(monkeypatch):
 
 
 def test_pair_route_case_phi8_images_of_h_5_4_1(monkeypatch):
-    _, classes = helberg_classes(5, 4, 1)
+    classes = helberg_classes(5, 4, 1)
     code = [naisargik_map("phi8").apply(w) for w in classes[0]]
     assert len(code) == 4
     assert not hashed(code, 2, monkeypatch)

@@ -228,7 +228,7 @@ def test_hashed_reduction_cells_carry_the_brute_force_witness(monkeypatch):
     assert len(hashed) == 48
     hashed_codes = set(map(tuple, hashed))
     checked = 0
-    for a, ws in helberg_classes(8, 4, 1)[1].items():
+    for a, ws in helberg_classes(8, 4, 1).items():
         code = reduction_code(ws)
         if code in hashed_codes:
             x, y, shared = oracle_report(code, 1).witness
@@ -360,14 +360,14 @@ def _assert_classes_pair(classes, orbit, transform):
 
 @pytest.mark.parametrize("n, q, s", [(6, 2, 2), (9, 2, 3), (4, 3, 1), (4, 4, 2), (3, 5, 1)])
 def test_helberg_classes_pair_by_complement(n, q, s):
-    _, classes = helberg_classes(n, q, s)
+    classes = helberg_classes(n, q, s)
     orbit = _complement_orbit(n, q, s)
     _assert_classes_pair(classes, orbit, lambda w: tuple(q - 1 - x for x in w))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_binary_vt_classes_pair_by_complement(n):
-    _, classes = helberg_classes(n, 2, 1)
+    classes = helberg_classes(n, 2, 1)
     _assert_classes_pair(classes, _complement_orbit(n, 2, 1), _complement)
 
 
@@ -381,7 +381,7 @@ def test_qary_vt_classes_pair_by_reversed_complement(n, q):
 @pytest.mark.parametrize("smap", all_bijections(), ids=lambda m: m.name)
 def test_inverse_classes_pair_by_bit_complement_under_every_map(smap):
     for n_bits, s in [(6, 2), (8, 3)]:
-        _, classes = helberg_classes(n_bits, 2, s, smap=smap)
+        classes = helberg_classes(n_bits, 2, s, smap=smap)
         orbit = _complement_orbit(n_bits, 2, s)
         _assert_classes_pair(classes, orbit, lambda w: smap.invert(_complement(smap.apply(w))))
 
@@ -400,7 +400,7 @@ def test_image_classes_pair_by_complement_only_under_maps_that_commute_with_it(s
         assert commutes == (smap.name in THM1_PAIRED_MAPS)
         if commutes:
             orbit = _complement_orbit(n, 4, s)
-            _assert_classes_pair(helberg_classes(n, 4, s, smap=smap)[1], orbit, _complement)
+            _assert_classes_pair(helberg_classes(n, 4, s, smap=smap), orbit, _complement)
 
 
 def test_conj1_maps_fall_into_two_orbits_of_the_named_maps():
@@ -545,6 +545,28 @@ def test_failing_orbits_report_the_direct_witnesses():
         assert verify_image_correction(5, 2, PERM7).to_dict() == mirrored.to_dict()
 
 
+def test_failing_paired_campaign_walks_each_residue_at_most_once(monkeypatch):
+    # The same campaign: the leader ranges are walked first, then the
+    # partners of the failing leaders, one stretch on each side of c.  At
+    # (5, 2) the two walks cover all m = 880 residues, each once.
+    calls = []
+    real = verify_mod.helberg_classes
+
+    def spy(*args):
+        calls.append(list(args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(verify_mod, "helberg_classes", spy)
+    verify_image_correction(5, 2, PERM7)
+    m, c = verify_mod._complement(5, 4, 2)
+    residues = [a % m for ranges in calls for run in ranges for a in run]
+    assert len(calls) == 2
+    assert len(residues) == len(set(residues)) <= m
+    sides = [range(c - c // 2, c + 1), range((c + m + 1) // 2, m)]
+    for run in calls[1]:
+        assert any(side.start <= run.start and run.stop <= side.stop for side in sides), run
+
+
 def _count_kernel_classes(monkeypatch):
     """The class sizes and word length of each kernel call, in order, from here on."""
     calls = []
@@ -563,7 +585,7 @@ def test_orbit_campaigns_decide_one_cell_per_orbit(monkeypatch):
     calls = _count_kernel_classes(monkeypatch)
     result = verify_helberg_self(10, 2, 2)
     assert result.passed
-    _, classes = helberg_classes(10, 2, 2)
+    classes = helberg_classes(10, 2, 2)
     orbit = _complement_orbit(10, 2, 2)
     orbits = {orbit(a) for a, ws in classes.items() if len(ws) >= 2}
     assert len(calls) == 1

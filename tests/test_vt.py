@@ -22,6 +22,7 @@ from naisargik import (
     same_residue_witness,
     signature,
     sphere_members,
+    weight_sequence,
 )
 from naisargik.verify import _scan_campaign
 from conftest import (
@@ -62,7 +63,8 @@ def test_binary_partition(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_binary_classes_match_codes(n):
     # The binary VT classes are the Helberg classes with q = 2 and s = 1.
-    m, classes = helberg_classes(n, 2, 1)
+    m = weight_sequence(n, 2, 1).modulus
+    classes = helberg_classes(n, 2, 1)
     assert m == n + 1
     assert list(classes) == list(range(n + 1))
     assert classes == {a: binary_vt_code_by_checksum(n, a) for a in range(n + 1)}
